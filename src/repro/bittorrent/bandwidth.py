@@ -15,12 +15,9 @@ exercises the same code path and produces the same qualitative result
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.sim import streams
-from repro.sim.random_source import fallback_rng
 
 __all__ = ["BandwidthClass", "BandwidthDistribution", "saroiu_like_distribution"]
 
@@ -82,17 +79,10 @@ class BandwidthDistribution:
 
     # -- sampling --------------------------------------------------------------
 
-    def sample(self, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Draw ``n`` upstream capacities in kbps.
-
-        Omitting ``rng`` is deprecated: the fallback is the fixed
-        deterministic ``bandwidth`` stream (identical on every implicit
-        call) and warns; pass a named stream explicitly.
-        """
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``n`` upstream capacities in kbps."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        if rng is None:
-            rng = fallback_rng(streams.BANDWIDTH)
         component = rng.choice(len(self.classes), size=n, p=self._weights)
         log_center = np.log(self._centers[component])
         sigma = self._spreads[component]

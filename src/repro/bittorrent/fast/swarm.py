@@ -32,9 +32,8 @@ draw (same shuffles, same ``choice`` calls, same scenario arrival draws,
 in the same order), and the float accounting applies the same IEEE
 operations in the same sequence.  ``tests/test_swarm_engine_equivalence.py``
 enforces the contract -- under churn too; the speedup (>= 5x at 5k
-leechers, gated by ``benchmarks/bench_swarm_scaling.py`` and
-``benchmarks/bench_scenarios.py``) comes purely from replacing per-piece
-Python set algebra with vectorized passes.
+leechers, gated by ``benchmarks/bench_swarm_speedup.py``) comes purely
+from replacing per-piece Python set algebra with vectorized passes.
 """
 
 from __future__ import annotations

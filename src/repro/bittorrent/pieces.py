@@ -8,8 +8,7 @@ progress within a round is accumulated by the swarm simulator).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Set
 
 
@@ -26,69 +25,26 @@ class Torrent:
         Number of pieces.
     piece_size_kbit:
         Size of one piece in kilobits, so that upload capacities in kbps
-        divide evenly (``piece_size_kbit / upload_kbps`` is seconds).  The
-        old ``piece_size_kb`` spelling is accepted as a deprecated alias --
-        the unit was always kilobits, only the name was ambiguous.
+        divide evenly (``piece_size_kbit / upload_kbps`` is seconds).
     """
 
     piece_count: int
     piece_size_kbit: float = 256.0
-    piece_size_kb: InitVar[Optional[float]] = None  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
 
-    def __post_init__(self, piece_size_kb: Optional[float]) -> None:  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
-        if piece_size_kb is not None:  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
-            if self.piece_size_kbit != type(self).piece_size_kbit:
-                raise TypeError(
-                    "pass piece_size_kbit or the deprecated piece_size_kb, "
-                    "not both"
-                )
-            warnings.warn(
-                "piece_size_kb is deprecated (the unit is kilobits); "
-                "use piece_size_kbit",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "piece_size_kbit", piece_size_kb)  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
+    def __post_init__(self) -> None:
         if self.piece_count <= 0:
             raise ValueError("a torrent needs at least one piece")
         if self.piece_size_kbit <= 0:
             raise ValueError("piece size must be positive")
-
-    def __getattr__(self, name: str):
-        if name == "piece_size_kb":
-            warnings.warn(
-                "piece_size_kb is deprecated; use piece_size_kbit",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.piece_size_kbit
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     @property
     def total_size_kbit(self) -> float:
         """Total content size in kilobits."""
         return self.piece_count * self.piece_size_kbit
 
-    @property
-    def total_size_kb(self) -> float:  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
-        """Deprecated alias of :attr:`total_size_kbit`."""
-        warnings.warn(
-            "total_size_kb is deprecated; use total_size_kbit",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.total_size_kbit
-
     def pieces(self) -> range:
         """Iterator over piece indices."""
         return range(self.piece_count)
-
-
-# The InitVar default survives as a class attribute, which would shadow the
-# __getattr__ deprecation shim; the generated __init__ keeps its own copy.
-del Torrent.piece_size_kb  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
 
 
 class Bitfield:

@@ -35,8 +35,7 @@ the same seed; the contract is enforced by
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -90,8 +89,7 @@ class SwarmConfig:
     piece_count:
         Number of pieces in the torrent.
     piece_size_kbit:
-        Piece size in kilobits.  (``piece_size_kb`` is accepted as a
-        deprecated constructor alias; the unit was always kilobits.)
+        Piece size in kilobits.
     regular_slots:
         Tit-for-Tat slots per leecher (the paper's b0, default 3).
     optimistic_slots:
@@ -160,22 +158,8 @@ class SwarmConfig:
     behaviors: "BehaviorMix | str | None" = None
     faults: "FaultSchedule | str | None" = None
     resilience: "ResiliencePolicy | str | None" = None
-    piece_size_kb: InitVar[Optional[float]] = None  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
 
-    def __post_init__(self, piece_size_kb: Optional[float]) -> None:  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
-        if piece_size_kb is not None:  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
-            if self.piece_size_kbit != type(self).piece_size_kbit:
-                raise TypeError(
-                    "pass piece_size_kbit or the deprecated piece_size_kb, "
-                    "not both"
-                )
-            warnings.warn(
-                "SwarmConfig.piece_size_kb is deprecated (the unit is "
-                "kilobits); use piece_size_kbit",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.piece_size_kbit = piece_size_kb  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
+    def __post_init__(self) -> None:
         if self.leechers <= 1:
             raise ValueError("need at least two leechers")
         if self.seeds < 0:
@@ -194,36 +178,6 @@ class SwarmConfig:
             self.faults = resolve_faults(self.faults)
         if self.resilience is not None:
             self.resilience = resolve_resilience(self.resilience)
-
-    def __getattr__(self, name: str):
-        if name == "piece_size_kb":
-            warnings.warn(
-                "SwarmConfig.piece_size_kb is deprecated; use piece_size_kbit",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.piece_size_kbit
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-
-# The InitVar default survives as a class attribute, which would shadow the
-# __getattr__ deprecation shim; the generated __init__ keeps its own copy.
-del SwarmConfig.piece_size_kb  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
-
-
-def _deprecated_kb_property(new_name: str):
-    def getter(self):
-        warnings.warn(
-            f"SwarmPeer.{new_name[:-5]}_kb is deprecated; use {new_name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, new_name)
-
-    getter.__doc__ = f"Deprecated alias of :attr:`{new_name}`."
-    return property(getter)
 
 
 @dataclass
@@ -255,10 +209,6 @@ class SwarmPeer:
     departed_round: Optional[int] = None
     behavior: str = "standard"
     locality_group: int = -1
-
-    downloaded_kb = _deprecated_kb_property("downloaded_kbit")  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
-    uploaded_kb = _deprecated_kb_property("uploaded_kbit")  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
-    partial_kb = _deprecated_kb_property("partial_kbit")  # repro: allow[RPD005] -- deprecation shim for the *_kb -> *_kbit rename
 
     def download_rate_kbps(self, rounds: int, round_seconds: float) -> float:
         """Average download rate over the peer's time in the swarm.

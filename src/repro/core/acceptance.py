@@ -18,8 +18,6 @@ from repro.core.exceptions import ModelError, UnknownPeerError
 from repro.core.peer import PeerPopulation
 from repro.graphs.base import UndirectedGraph
 from repro.graphs.erdos_renyi import erdos_renyi_graph
-from repro.sim import streams
-from repro.sim.random_source import fallback_rng
 
 __all__ = ["AcceptanceGraph"]
 
@@ -64,7 +62,7 @@ class AcceptanceGraph:
         *,
         expected_degree: Optional[float] = None,
         probability: Optional[float] = None,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ) -> "AcceptanceGraph":
         """Erdős–Rényi acceptance graph over the population's peer ids.
 
@@ -75,8 +73,6 @@ class AcceptanceGraph:
             raise ModelError("specify exactly one of expected_degree / probability")
         ids = population.ids()
         n = len(ids)
-        if rng is None:
-            rng = fallback_rng(streams.GRAPH)
         if probability is None:
             if n < 2:
                 base = UndirectedGraph(ids)

@@ -12,13 +12,9 @@ the paper's n = 5000 Monte-Carlo validation runs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.graphs.base import UndirectedGraph
-from repro.sim import streams
-from repro.sim.random_source import fallback_rng
 
 __all__ = ["erdos_renyi_graph", "expected_degree_to_probability", "erdos_renyi_expected_degree"]
 
@@ -45,7 +41,7 @@ def expected_degree_to_probability(n: int, expected_degree: float) -> float:
 def erdos_renyi_graph(
     n: int,
     p: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     *,
     first_id: int = 1,
 ) -> UndirectedGraph:
@@ -61,9 +57,7 @@ def erdos_renyi_graph(
         Independent probability of each edge.
     rng:
         Numpy random generator, normally a named
-        :class:`~repro.sim.random_source.RandomSource` stream.  Omitting it
-        is deprecated: the fallback is a fixed deterministic stream (so two
-        implicit calls can no longer diverge silently) and warns.
+        :class:`~repro.sim.random_source.RandomSource` stream.
     first_id:
         Label of the first vertex (default 1 to match the paper).
     """
@@ -71,8 +65,6 @@ def erdos_renyi_graph(
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    if rng is None:
-        rng = fallback_rng(streams.GRAPH)
 
     graph = UndirectedGraph(range(first_id, first_id + n))
     if n < 2 or p == 0.0:
@@ -106,7 +98,7 @@ def erdos_renyi_graph(
 def erdos_renyi_expected_degree(
     n: int,
     expected_degree: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     *,
     first_id: int = 1,
 ) -> UndirectedGraph:

@@ -14,8 +14,6 @@ from typing import Optional
 import numpy as np
 
 from repro.graphs.base import UndirectedGraph
-from repro.sim import streams
-from repro.sim.random_source import fallback_rng
 
 __all__ = ["random_regular_graph", "ring_lattice", "configuration_model_graph"]
 
@@ -43,7 +41,7 @@ def ring_lattice(n: int, k: int, *, first_id: int = 1) -> UndirectedGraph:
 def random_regular_graph(
     n: int,
     degree: int,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     *,
     first_id: int = 1,
     max_attempts: int = 200,
@@ -54,8 +52,6 @@ def random_regular_graph(
     pairings that would create loops or multi-edges; this is exact for the
     regular case and fast for the moderate degrees used in this library.
     """
-    if rng is None:
-        rng = fallback_rng(streams.GRAPH)
     if n <= 0:
         raise ValueError("n must be positive")
     if degree < 0 or degree >= n:
@@ -91,7 +87,7 @@ def _attempt_regular_pairing(
 
 def configuration_model_graph(
     degrees: list[int],
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     *,
     first_id: int = 1,
     max_attempts: int = 500,
@@ -101,8 +97,6 @@ def configuration_model_graph(
     Repeatedly tries the pairing model and rejects non-simple outcomes.  The
     degree sequence must have an even sum.
     """
-    if rng is None:
-        rng = fallback_rng(streams.GRAPH)
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")
     if sum(degrees) % 2 != 0:

@@ -16,15 +16,11 @@ generation, ...).
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["RandomSource", "derive_seed", "fallback_rng"]
-
-#: Master seed anchoring the deprecated implicit-rng fallback streams.
-_FALLBACK_MASTER_SEED = 0
+__all__ = ["RandomSource", "derive_seed"]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -36,30 +32,6 @@ def derive_seed(master_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{master_seed}/{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
-
-
-def fallback_rng(stream_name: str) -> np.random.Generator:
-    """Deterministic stand-in for a deprecated implicit ``rng=None`` default.
-
-    Several generators historically fell back to a *seedless*
-    ``np.random.default_rng()`` when no generator was passed, which made
-    two nominally identical calls diverge silently -- the exact failure
-    mode the named-stream discipline exists to prevent.  During the
-    one-release deprecation window those call sites route here instead:
-    the caller gets a generator derived from a fixed master seed and the
-    call site's stream name, so repeated implicit calls are *identical*
-    (divergence now requires passing distinct rngs explicitly), and a
-    :class:`DeprecationWarning` tells the caller to pass ``rng=``.
-    """
-    warnings.warn(
-        f"calling this without rng= is deprecated; pass a generator from a "
-        f"named RandomSource stream (e.g. source.stream(...)). The implicit "
-        f"default is now the deterministic '{stream_name}' fallback stream "
-        f"and will be removed in the next release.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return np.random.default_rng(derive_seed(_FALLBACK_MASTER_SEED, stream_name))
 
 
 class RandomSource:

@@ -9,12 +9,9 @@ samples heterogeneous.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
-
-from repro.sim import streams
-from repro.sim.random_source import fallback_rng
 
 __all__ = ["constant_slots", "rounded_normal_slots", "slot_statistics"]
 
@@ -32,7 +29,7 @@ def rounded_normal_slots(
     n: int,
     mean: float,
     sigma: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> List[int]:
     """Sample slot budgets from N(mean, sigma^2) rounded to positive integers.
 
@@ -46,8 +43,6 @@ def rounded_normal_slots(
         raise ValueError("sigma must be non-negative")
     if mean < 1:
         raise ValueError("mean slot budget must be at least 1")
-    if rng is None:
-        rng = fallback_rng(streams.POPULATION)
     if sigma == 0:
         return [max(1, int(round(mean)))] * n
     samples = rng.normal(loc=mean, scale=sigma, size=n)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.sim import streams
-from repro.sim.random_source import RandomSource, derive_seed, fallback_rng
+from repro.sim.random_source import RandomSource, derive_seed
 
 
 def seeded_generator(master_seed):
@@ -13,6 +13,3 @@ def seeded_generator(master_seed):
 def stream_draw(source: RandomSource, n):
     return source.stream(streams.BANDWIDTH).uniform(size=n)
 
-
-def deprecated_but_deterministic():
-    return fallback_rng(streams.GRAPH)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import pytest
 
 from repro.bittorrent.choking import SeedChoker, TitForTatChoker, UnchokeDecision
@@ -18,28 +21,20 @@ from repro.bittorrent.tracker import Tracker
 
 class TestTorrentAndBitfield:
     def test_torrent_size(self):
-        torrent = Torrent(piece_count=10, piece_size_kbit=100.0)
-        assert torrent.total_size_kbit == 1000.0
-        assert list(torrent.pieces()) == list(range(10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            built = Torrent(piece_count=10, piece_size_kbit=100.0)
+            replaced = dataclasses.replace(Torrent(4, piece_size_kbit=100.0), piece_count=10)
+        for torrent in (built, replaced):
+            assert torrent.piece_size_kbit == 100.0
+            assert torrent.total_size_kbit == 1000.0
+            assert list(torrent.pieces()) == list(range(10))
 
     def test_torrent_validation(self):
         with pytest.raises(ValueError):
             Torrent(0)
         with pytest.raises(ValueError):
             Torrent(10, piece_size_kbit=0)
-
-    def test_deprecated_kb_aliases(self):
-        with pytest.warns(DeprecationWarning):
-            torrent = Torrent(piece_count=10, piece_size_kb=100.0)
-        assert torrent.piece_size_kbit == 100.0
-        with pytest.warns(DeprecationWarning):
-            assert torrent.piece_size_kb == 100.0
-        with pytest.warns(DeprecationWarning):
-            assert torrent.total_size_kb == 1000.0
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            Torrent(10, piece_size_kb=0)
-        with pytest.raises(TypeError):
-            Torrent(10, piece_size_kbit=512.0, piece_size_kb=256.0)
 
     def test_bitfield_complete_and_empty(self):
         seed = Bitfield.complete(5)

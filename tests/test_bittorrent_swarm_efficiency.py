@@ -3,6 +3,9 @@ slot-count strategy analysis."""
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -176,15 +179,6 @@ class TestSwarmSimulator:
         downloaded = sum(p.downloaded_kbit for p in swarm_result.peers.values())
         assert uploaded == pytest.approx(downloaded, rel=1e-9)
 
-    def test_deprecated_peer_volume_aliases(self, swarm_result):
-        peer = swarm_result.leechers()[0]
-        with pytest.warns(DeprecationWarning):
-            assert peer.downloaded_kb == peer.downloaded_kbit
-        with pytest.warns(DeprecationWarning):
-            assert peer.uploaded_kb == peer.uploaded_kbit
-        with pytest.warns(DeprecationWarning):
-            assert peer.partial_kb is peer.partial_kbit
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SwarmConfig(leechers=1)
@@ -192,6 +186,12 @@ class TestSwarmSimulator:
             SwarmConfig(start_completion=1.0)
         with pytest.raises(ValueError):
             SwarmConfig(rounds=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = dataclasses.replace(SwarmConfig(piece_size_kbit=512.0), rounds=5)
+        assert (config.piece_size_kbit, config.rounds) == (512.0, 5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(config, rounds=0)
 
     def test_explicit_bandwidths_length_checked(self):
         config = SwarmConfig(leechers=5, rounds=2, piece_count=10)

@@ -29,10 +29,10 @@ class TestAcceptanceGraph:
 
     def test_erdos_renyi_requires_one_parameter(self, small_population, rng):
         with pytest.raises(ModelError):
-            AcceptanceGraph.erdos_renyi(small_population)
+            AcceptanceGraph.erdos_renyi(small_population, rng=rng)
         with pytest.raises(ModelError):
             AcceptanceGraph.erdos_renyi(
-                small_population, expected_degree=2, probability=0.5
+                small_population, expected_degree=2, probability=0.5, rng=rng
             )
 
     def test_erdos_renyi_expected_degree(self, rng):

@@ -1,11 +1,9 @@
-"""Tests for the metric recorder, experiment runner and result tables."""
+"""Tests for the metric recorder and result tables."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.experiment import ParameterGrid, group_results, run_experiment
-from repro.sim.random_source import RandomSource
 from repro.sim.recorder import MetricRecorder, TimeSeries
 from repro.sim.results import ResultTable, aggregate
 
@@ -171,63 +169,6 @@ class TestMetricRecorder:
         assert merged.summary()["obs/scrape/snatches"]["last"] == float(
             result.observed.reported_downloads()
         )
-
-
-class TestParameterGridAndExperiment:
-    def test_grid_product(self):
-        grid = ParameterGrid(n=[10, 20], d=[1, 2, 3])
-        assert len(grid) == 6
-        combos = list(grid)
-        assert {"n": 10, "d": 1} in combos
-        assert {"n": 20, "d": 3} in combos
-
-    def test_grid_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ParameterGrid()
-        with pytest.raises(ValueError):
-            ParameterGrid(n=[])
-
-    def test_experiment_runs_all_combinations(self):
-        grid = ParameterGrid(x=[1, 2], y=[3])
-        results = run_experiment(
-            "demo", grid, lambda params, source: {"sum": params["x"] + params["y"]},
-            repetitions=2,
-        )
-        assert len(results) == 4
-        assert {r.metric("sum") for r in results} == {4, 5}
-
-    def test_experiment_seeds_are_reproducible(self):
-        grid = ParameterGrid(x=[1])
-
-        def runner(params, source: RandomSource):
-            return {"draw": float(source.stream("r").random())}
-
-        first = run_experiment("demo", grid, runner, base_seed=3)
-        second = run_experiment("demo", grid, runner, base_seed=3)
-        assert first[0].metric("draw") == second[0].metric("draw")
-
-    def test_experiment_seeds_differ_across_repetitions(self):
-        grid = ParameterGrid(x=[1])
-
-        def runner(params, source: RandomSource):
-            return {"draw": float(source.stream("r").random())}
-
-        results = run_experiment("demo", grid, runner, repetitions=3, base_seed=3)
-        draws = [r.metric("draw") for r in results]
-        assert len(set(draws)) == 3
-
-    def test_missing_metric_raises(self):
-        grid = ParameterGrid(x=[1])
-        results = run_experiment("demo", grid, lambda p, s: {"a": 1})
-        with pytest.raises(KeyError):
-            results[0].metric("b")
-
-    def test_group_results(self):
-        grid = ParameterGrid(x=[1, 2])
-        results = run_experiment("demo", grid, lambda p, s: {"v": p["x"]}, repetitions=2)
-        grouped = group_results(results, by=["x"])
-        assert set(grouped) == {(1,), (2,)}
-        assert all(len(v) == 2 for v in grouped.values())
 
 
 class TestResultTable:
