@@ -39,7 +39,7 @@ A :class:`BehaviorMix` assigns profiles to peers at arrival time from the
 dedicated ``"behavior"`` random stream (:data:`repro.sim.streams.
 BEHAVIOR`).  Assignment is one batched draw per population / arrival
 batch, and the locality filter is one batched draw per biased announce,
-so both swarm engines consume the stream draw-for-draw identically --
+both drawn by the round protocol the two swarm engines share -- so
 every behavior is bit-identical across ``engine="fast"`` and
 ``engine="reference"`` under a shared seed (enforced by
 ``tests/test_swarm_engine_equivalence.py`` and the golden traces).

@@ -7,11 +7,14 @@
   optimistic rotation.
 * :mod:`repro.bittorrent.fast.tracker` -- array-backed tracker announces.
 * :mod:`repro.bittorrent.fast.swarm` -- :class:`FastSwarmSimulator`, the
-  drop-in backend behind ``SwarmSimulator(config, engine="fast")``.
+  array state backend behind ``SwarmSimulator(config, engine="fast")``.
 
-The engine mirrors the contract of :mod:`repro.core.fast`: bit-identical
+The engine keeps the contract of :mod:`repro.core.fast`: bit-identical
 results under a shared seed, with the reference implementation as the
-correctness oracle (``tests/test_swarm_engine_equivalence.py``).
+correctness oracle (``tests/test_swarm_engine_equivalence.py``).  Unlike
+the matching engines, the two swarm engines run one round protocol,
+:class:`repro.bittorrent.swarm.SwarmSimulator`, which draws every random
+stream; this package holds only the swarm's state and its hot path.
 """
 
 from repro.bittorrent.fast.bitfields import BitfieldMatrix

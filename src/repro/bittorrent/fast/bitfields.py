@@ -45,8 +45,8 @@ class BitfieldMatrix:
     """
 
     def __init__(self, n_peers: int, piece_count: int) -> None:
-        if n_peers <= 0:
-            raise ValueError("need at least one peer")
+        if n_peers < 0:
+            raise ValueError("n_peers cannot be negative")
         if piece_count <= 0:
             raise ValueError("piece_count must be positive")
         self.n_peers = n_peers

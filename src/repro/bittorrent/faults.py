@@ -34,18 +34,19 @@ A :class:`FaultSchedule` is a composition of :class:`FaultEvent`\\ s:
 
 Determinism contract: every random decision flows through the three
 registered ``fault-*`` streams (:data:`repro.sim.streams.FAULT_LOSS`,
-``FAULT_CRASH``, ``FAULT_PARTITION``), drawn at pinned points of the round
-protocol in *both* swarm engines -- loss as one batch over the sorted
-planned pairs, crash victims as one choice batch over the sorted alive
-non-seeds, partition sides as one integer batch over the not-yet-assigned
-alive peers.  A trivial schedule (no events) draws nothing and takes no
-branch that affects the simulation, so a fault-free run is bit-identical
-with or without the fault layer (the existing golden traces prove it).
+``FAULT_CRASH``, ``FAULT_PARTITION``), drawn at pinned points of the one
+round protocol both swarm engines run
+(:class:`~repro.bittorrent.swarm.SwarmSimulator`) -- loss as one batch
+over the sorted planned pairs, crash victims as one choice batch over the
+sorted alive non-seeds, partition sides as one integer batch over the
+not-yet-assigned alive peers.  A trivial schedule (no events) draws
+nothing and takes no branch that affects the simulation, so a fault-free
+run is bit-identical with or without the fault layer (the existing golden
+traces prove it).
 
 :class:`FaultRuntime` holds the mutable per-run bookkeeping (queued
 announces, deferred tracker notifications, pending rejoins, partition
-sides) shared verbatim by both engines; the engines only translate between
-their peer representations and the runtime's 1-based peer ids.
+sides), keyed by 1-based peer id; the round protocol owns one per run.
 """
 
 from __future__ import annotations
@@ -273,13 +274,12 @@ class FaultSchedule:
 
 
 class FaultRuntime:
-    """Mutable per-run fault bookkeeping, shared by both swarm engines.
+    """Mutable per-run fault bookkeeping of the swarm's round protocol.
 
-    All state is keyed by 1-based peer id, the representation common to
-    the reference engine's dicts and the fast engine's dense arrays, so
-    the two engines drive one identical state machine.  The engines must
-    call the mutating methods at the pinned protocol points documented in
-    ``docs/faults.md``; every method is deterministic given its inputs.
+    All state is keyed by 1-based peer id.  The protocol
+    (:class:`~repro.bittorrent.swarm.SwarmSimulator`) calls the mutating
+    methods at the pinned points documented in ``docs/faults.md``; every
+    method is deterministic given its inputs.
     """
 
     def __init__(self, schedule: FaultSchedule) -> None:
@@ -426,8 +426,7 @@ class FaultRuntime:
         partition window with the sorted alive pids: the first round
         assigns everybody, later rounds only the round's arrivals and
         rejoiners.  One ``rng.integers`` batch per round with unassigned
-        peers; both engines pass identical pid lists, so consumption
-        matches.
+        peers.
         """
         event = self.schedule.partition_event(round_index)
         if event is None:
@@ -453,9 +452,7 @@ class FaultRuntime:
         loss draws one ``rng.random(len(pairs))`` batch whenever a loss
         window covers the round and pairs exist -- independent of the
         partition outcome, so stream consumption never depends on which
-        transfers the partition already killed.  ``pairs`` must be sorted;
-        both engines canonicalize their transfer lists to sorted pid pairs
-        before calling.
+        transfers the partition already killed.  ``pairs`` must be sorted.
         """
         dropped: Set[Tuple[int, int]] = set()
         if not pairs:

@@ -35,11 +35,13 @@ BitTorrent deployments grew for exactly these failures, as one composable
     (see ``Tracker.stale_count``).
 
 Determinism contract: every random decision flows through the two
-registered engine-paired streams (:data:`repro.sim.streams.TRACKER_SELECT`,
-:data:`repro.sim.streams.PEX_GOSSIP`), drawn at pinned protocol points in
-*both* swarm engines; the shared :class:`ResilienceRuntime` holds the
-pid-level bookkeeping and never draws on its own (the engines pass the
-stream in, like :class:`~repro.bittorrent.faults.FaultRuntime`).  The
+registered streams (:data:`repro.sim.streams.TRACKER_SELECT`,
+:data:`repro.sim.streams.PEX_GOSSIP`), drawn at pinned points of the one
+round protocol both swarm engines run
+(:class:`~repro.bittorrent.swarm.SwarmSimulator`); the
+:class:`ResilienceRuntime` holds the pid-level bookkeeping and never draws
+on its own (the protocol passes the stream in, like
+:class:`~repro.bittorrent.faults.FaultRuntime`).  The
 default policy is trivial: it draws nothing, takes no branch, and leaves
 every pre-resilience run byte-identical -- the existing golden traces
 prove it.
@@ -227,9 +229,8 @@ def sample_pools(
     without replacement via a partial Fisher-Yates (``pool.pop(draw)``),
     and the pick bounds of *all* pools concatenate into one
     ``rng.integers(0, bounds)`` batch -- the draw-batching idiom the fast
-    engine's piece selector uses, shared here so both engines consume the
-    ``pex-gossip`` stream identically by construction.  Empty pools
-    contribute no bounds; an all-empty call draws nothing.
+    engine's piece selector uses.  Empty pools contribute no bounds; an
+    all-empty call draws nothing.
     """
     picks = [min(sample_size, len(pool)) for pool in pools]
     bounds: List[int] = []
@@ -251,12 +252,12 @@ def sample_pools(
 
 
 class ResilienceRuntime:
-    """Mutable per-run resilience bookkeeping, shared by both engines.
+    """Mutable per-run resilience bookkeeping of the swarm's round protocol.
 
     Keyed by 1-based peer id like :class:`~repro.bittorrent.faults.
-    FaultRuntime`; the engines call the mutating methods at the pinned
-    protocol points documented in ``docs/resilience.md`` and pass any
-    random stream in, so the runtime itself stays engine-agnostic.  Also
+    FaultRuntime`; the protocol calls the mutating methods at the pinned
+    points documented in ``docs/resilience.md`` and passes any random
+    stream in, so the runtime itself never draws.  Also
     validates the fault schedule against the policy at construction:
     an outage targeting a replica the announce list does not have is a
     configuration error, not a silently dead event.
@@ -372,9 +373,9 @@ class ResilienceRuntime:
 
     # -- PEX accounting -----------------------------------------------------------
 
-    def count_introduction(self) -> None:
-        """One gossip message created a previously unknown edge."""
-        self.pex_introductions += 1
+    def count_introduction(self, count: int = 1) -> None:
+        """Gossip messages created ``count`` previously unknown edges."""
+        self.pex_introductions += count
 
     def count_bootstrap(self) -> None:
         """One blacked-out arrival found contacts through its resume cache."""

@@ -9,16 +9,16 @@ a seed for a configurable number of rounds), and a per-arrival upload
 capacity distribution.
 
 The schedule is deliberately *pure configuration plus pure functions of the
-shared random streams*: both swarm engines (the reference dictionary
-simulator and the packed-bit array engine) call the same methods, in the
-same per-round order, on the same :class:`~repro.sim.random_source.
-RandomSource` streams, which is what keeps every scenario bit-identical
-across engines under a shared seed.  A static schedule draws nothing and
+shared random streams*: the one round protocol both swarm engines run
+(:class:`~repro.bittorrent.swarm.SwarmSimulator`) calls its methods in a
+pinned per-round order on :class:`~repro.sim.random_source.RandomSource`
+streams, which is what keeps every scenario bit-identical across engines
+under a shared seed.  A static schedule draws nothing and
 departs nobody, so ``scenario=None``, ``scenario="static"`` and
 ``ScenarioSchedule()`` all reproduce the fixed-population behaviour
 draw for draw.
 
-Per-round protocol (both engines, pinned order):
+Per-round protocol (pinned order):
 
 1. departures due this round (no randomness -- a completed leecher departs
    at the start of round ``completed_round + 1 + linger``),

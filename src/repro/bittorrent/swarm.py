@@ -24,19 +24,33 @@ graph, from which :func:`stratification_index` measures how strongly peers
 pair with partners of similar bandwidth rank -- the empirical counterpart of
 the matching model's stratification result.
 
-Like :class:`repro.core.dynamics.ConvergenceSimulator`, the simulator takes
-an ``engine`` switch: ``"reference"`` (this module, dictionaries and sets,
-the correctness oracle) or ``"fast"`` (the packed-bit array engine in
-:mod:`repro.bittorrent.fast`).  Both engines consume the shared random
-streams draw-for-draw and produce bit-identical :class:`SwarmResult`\\ s for
-the same seed; the contract is enforced by
+The round protocol is written once, in :class:`SwarmSimulator`: it draws
+every named random stream and runs every membership, fault, resilience,
+gossip and telemetry step.  The two engines differ only in how they store
+the swarm and run the per-round hot path: ``engine="reference"``
+(:class:`ReferenceSwarmSimulator`, dictionaries and sets, the correctness
+oracle) or ``engine="fast"`` (the packed-bit array backend in
+:mod:`repro.bittorrent.fast`).  They produce bit-identical
+:class:`SwarmResult`\\ s for the same seed; the contract is enforced by
 ``tests/test_swarm_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -65,15 +79,25 @@ from repro.bittorrent.telemetry import (
     ObservedSwarm,
     ObserverConfig,
     SwarmObserver,
-    _ReferenceSwarmView,
+    _SwarmView,
     resolve_observer,
 )
 from repro.bittorrent.tracker import Tracker
-from repro.core.exceptions import validate_engine
+from repro.core.exceptions import ModelError, validate_engine
 from repro.sim.random_source import RandomSource
 from repro.sim import streams
 
-__all__ = ["SwarmConfig", "SwarmPeer", "SwarmResult", "SwarmSimulator", "stratification_index"]
+if TYPE_CHECKING:
+    from repro.bittorrent.fast.tracker import FastTracker
+
+__all__ = [
+    "SwarmConfig",
+    "SwarmPeer",
+    "SwarmResult",
+    "SwarmSimulator",
+    "ReferenceSwarmSimulator",
+    "stratification_index",
+]
 
 
 @dataclass
@@ -283,8 +307,24 @@ class SwarmResult:
         return ratios
 
 
+#: One planned transfer: ``(sender pid, receiver pid, kilobits)``.
+Transfer = Tuple[int, int, float]
+
+
 class SwarmSimulator:
-    """Drives a round-based Tit-for-Tat swarm.
+    """Drives a round-based Tit-for-Tat swarm: the one round protocol.
+
+    ``SwarmSimulator(config, engine=...)`` builds the backend the engine
+    names -- :class:`ReferenceSwarmSimulator` (dictionaries and sets, the
+    correctness oracle) or :class:`~repro.bittorrent.fast.swarm.
+    FastSwarmSimulator` (packed-bit arrays).  This class is their common
+    base and owns everything the engines share, once per run: the random
+    source and every named stream drawn from it, the scenario and behavior
+    gates, the fault and resilience runtimes, the tracker, the observer,
+    the departure queue, the early-exit rule and the result.  Every pinned
+    step of the round protocol runs here exactly once; a backend only
+    stores peer state and runs the per-round hot path (the hooks under
+    "backend interface" below).
 
     Parameters
     ----------
@@ -298,24 +338,39 @@ class SwarmSimulator:
     seed:
         Master seed of the shared :class:`~repro.sim.random_source.RandomSource`.
     engine:
-        ``"reference"`` (default) for this dictionary implementation,
-        ``"fast"`` for the packed-bit array engine in
-        :mod:`repro.bittorrent.fast.swarm`.  Both are bit-identical for
-        the same seed.
+        ``"reference"`` (default) or ``"fast"``; both are bit-identical
+        for the same seed.
     scenario:
         Membership dynamics: a
         :class:`~repro.bittorrent.scenarios.ScenarioSchedule`, a preset
         name (``"static"``, ``"poisson"``, ``"flashcrowd"``,
         ``"seed-linger"``) or ``None`` for the fixed population the paper
-        assumes.  Scenarios are bit-identical across engines too.
+        assumes.
     observer:
         A :class:`~repro.bittorrent.telemetry.SwarmObserver` (or an
         :class:`~repro.bittorrent.telemetry.ObserverConfig` to build one)
         that measures the run the way a real scrape-and-poll study would;
         its record lands in ``SwarmResult.observed``.  Observation never
-        changes the simulation -- results stay bit-identical to the
-        unobserved run on both engines.
+        changes the simulation.
     """
+
+    engine: ClassVar[str]
+    #: The backend's tracker class; both draw announces identically.
+    tracker_type: ClassVar[Callable[..., "Tracker | FastTracker"]]
+    tracker: "Tracker | FastTracker"
+
+    def __new__(
+        cls, *args: Any, engine: Optional[str] = None, **kwargs: Any
+    ) -> "SwarmSimulator":
+        if cls is SwarmSimulator:
+            if validate_engine("reference" if engine is None else engine) == "fast":
+                from repro.bittorrent.fast.swarm import FastSwarmSimulator
+
+                return super().__new__(FastSwarmSimulator)
+            return super().__new__(ReferenceSwarmSimulator)
+        if engine is not None and engine != cls.engine:
+            raise ModelError(f"{cls.__name__} is the {cls.engine!r} engine, not {engine!r}")
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -324,23 +379,22 @@ class SwarmSimulator:
         bandwidths: Optional[Sequence[float]] = None,
         distribution: Optional[BandwidthDistribution] = None,
         seed: int = 0,
-        engine: str = "reference",
+        engine: Optional[str] = None,
         scenario: "ScenarioSchedule | str | None" = None,
         observer: "SwarmObserver | ObserverConfig | None" = None,
     ) -> None:
-        validate_engine(engine)
+        del engine  # __new__ already picked the backend class
+        if not isinstance(config, SwarmConfig):
+            raise TypeError("config must be a SwarmConfig")
         self.config = config
-        self.engine = engine
         self.scenario = resolve_scenario(scenario)
         self.observer = resolve_observer(observer)
         self.source = RandomSource(seed)
         self.torrent = Torrent(config.piece_count, config.piece_size_kbit)
         # The behavior layer: the swarm's mix, the (possibly overriding)
-        # arrival mix, and two flags that gate every behavior branch.  All
-        # three are pure functions of config + scenario, so the fast
-        # engine derives the identical gates and the shared streams stay
-        # aligned.  A trivial mix keeps this run draw-for-draw identical
-        # to a behavior-free one.
+        # arrival mix, and two flags that gate every behavior branch.  A
+        # trivial mix keeps this run draw-for-draw identical to a
+        # behavior-free one.
         self.behaviors = resolve_behavior_mix(config.behaviors)
         self._arrival_mix: BehaviorMix = (
             self.scenario.behaviors
@@ -353,56 +407,42 @@ class SwarmSimulator:
         self._locality_on = (
             self.behaviors.uses_locality or self._arrival_mix.uses_locality
         )
-        # The fault layer: one shared pid-level runtime per run.  A
-        # trivial schedule keeps every fault branch off (and every
-        # fault-* stream untouched), so fault-free runs stay
-        # draw-for-draw identical to pre-fault-layer ones.
+        # The fault and resilience layers: one pid-level runtime each (the
+        # resilience runtime also validates the schedule's replica targets
+        # against the announce list).  A trivial schedule or policy takes
+        # no branch and leaves its streams untouched, so such runs stay
+        # draw-for-draw identical to runs without the layer.
         self.faults = resolve_faults(config.faults)
         self._faults = FaultRuntime(self.faults)
         self._faults_active = self._faults.active
         self.tracker_available = True
-        # The resilience layer mirrors the fault layer's shape: one
-        # pid-level runtime (which also validates the schedule's replica
-        # targets against the announce-list length), gates derived from
-        # the config alone, and a trivial policy that draws nothing.
         self.resilience = resolve_resilience(config.resilience)
         self._resilience = ResilienceRuntime(self.resilience, self.faults)
         self._resilience_active = self._resilience.active
-        if engine == "fast":
-            from repro.bittorrent.fast.swarm import FastSwarmSimulator
-
-            self._fast: Optional[FastSwarmSimulator] = FastSwarmSimulator(
-                config,
-                bandwidths=bandwidths,
-                distribution=distribution,
-                seed=seed,
-                scenario=self.scenario,
-                observer=self.observer,
-            )
-            return
-        self._fast = None
-        self.selector: PieceSelector = make_selector(config.piece_selection)
-        self.tracker = Tracker(announce_size=config.announce_size)
-        self._chokers: Dict[int, TitForTatChoker | SeedChoker] = {}
-        self.peers: Dict[int, SwarmPeer] = {}
+        self.tracker = self.tracker_type(announce_size=config.announce_size)
+        # Per-peer facts the protocol draws itself, indexed by pid - 1.
+        self._profiles: List[BehaviorProfile] = []
+        self._groups: List[int] = []
+        # Departed and crashed peers, frozen when they left; a crashed
+        # peer's snapshot comes back on rejoin.
         self._departed: Dict[int, SwarmPeer] = {}
-        self._profiles: Dict[int, BehaviorProfile] = {}
-        self._next_pid = 0
+        # Departure is deterministic at completion time (round + 1 +
+        # linger), so completions enqueue here and each round pops its
+        # bucket instead of scanning every peer.
+        self._depart_due: Dict[int, List[int]] = {}
         self._total_arrived = 0
+        self._init_state()
         self._build_population(bandwidths, distribution)
 
-    def __getattr__(self, name: str):
-        # In fast mode ``peers`` is materialized from the arrays on demand
-        # (a fresh snapshot of the current state, initial before run() and
-        # final after), keeping the public surface engine-independent.
-        # ``tracker``/``selector`` remain reference-engine internals.
-        if name == "peers":
-            fast = self.__dict__.get("_fast")
-            if fast is not None:
-                return fast.materialize_peers()
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
+    @property
+    def peers(self) -> Dict[int, SwarmPeer]:
+        """The peers present now, ascending by id.
+
+        Departed and crashed peers are left out; ``SwarmResult.peers``
+        carries them.  The reference engine returns its live peer objects,
+        the fast engine a fresh snapshot of its arrays.
+        """
+        return {pid: self._snapshot(pid) for pid in self._live_ids()}
 
     # -- construction ------------------------------------------------------------
 
@@ -412,147 +452,120 @@ class SwarmSimulator:
         distribution: Optional[BandwidthDistribution],
     ) -> None:
         config = self.config
-        rng = self.source.stream(streams.BANDWIDTH)
         if bandwidths is not None:
             uploads = np.asarray(list(bandwidths), dtype=float)
             if uploads.shape[0] != config.leechers:
                 raise ValueError("bandwidths must have one entry per leecher")
         else:
             dist = distribution if distribution is not None else saroiu_like_distribution()
-            uploads = dist.sample(config.leechers, rng)
-
+            uploads = dist.sample(config.leechers, self.source.stream(streams.BANDWIDTH))
         # Pinned behavior draws: one assignment batch for the leechers,
         # then (only when some behavior is locality-biased) one group
-        # batch for the whole initial population, seeds included -- both
-        # before any bootstrap draw.  The fast engine replays this order.
-        behavior_rng = self.source.stream(streams.BEHAVIOR)
+        # batch for the whole initial population, seeds included.
         mix = self.behaviors
-        leecher_behaviors = mix.assign(config.leechers, behavior_rng)
+        behavior_rng = self.source.stream(streams.BEHAVIOR)
         n_initial = config.leechers + config.seeds
+        behaviors = mix.assign(config.leechers, behavior_rng)
         groups = (
             mix.assign_groups(n_initial, behavior_rng)
             if self._locality_on
             else [-1] * n_initial
         )
-
-        # Replica preferences: one pinned tracker-select batch for the
-        # whole initial population (seeds included), drawn only when the
-        # announce list actually has more than one replica.
+        self._join(
+            [float(upload) for upload in uploads]
+            + [float(config.seed_upload_kbps)] * config.seeds,
+            behaviors + [mix.seed_behavior] * config.seeds,
+            groups,
+            int(round(config.start_completion * config.piece_count)),
+            arrival_round=0,
+            seeds=config.seeds,
+        )
+        self._announce_population(n_initial, self.source.stream(streams.TRACKER))
         if self._resilience_active:
-            self._resilience.assign_preferences(
-                list(range(1, n_initial + 1)),
-                self.source.stream(streams.TRACKER_SELECT),
-            )
-
-        bootstrap_rng = self.source.stream(streams.BOOTSTRAP)
-        announce_rng = self.source.stream(streams.TRACKER)
-        start_default = int(round(config.start_completion * config.piece_count))
-        peer_id = 0
-        for index in range(config.leechers):
-            peer_id += 1
-            self._next_pid = peer_id
-            profile = profile_for(leecher_behaviors[index])
-            bitfield = Bitfield.empty(config.piece_count)
-            start_pieces = bootstrap_piece_count(
-                profile, start_default, config.piece_count
-            )
-            if start_pieces:
-                for piece in bootstrap_rng.choice(
-                    config.piece_count, size=start_pieces, replace=False
-                ):
-                    bitfield.add(int(piece))
-            peer = SwarmPeer(
-                peer_id=peer_id,
-                upload_kbps=float(uploads[index]),
-                is_seed=False,
-                bitfield=bitfield,
-                behavior=profile.name,
-                locality_group=groups[index],
-            )
-            self.peers[peer_id] = peer
-            self._profiles[peer_id] = profile
-            self._chokers[peer_id] = TitForTatChoker(
-                regular_slots=config.regular_slots,
-                optimistic_slots=config.optimistic_slots,
-                optimistic_period=config.optimistic_period,
-            )
-        seed_profile = profile_for(mix.seed_behavior)
-        for k in range(config.seeds):
-            peer_id += 1
-            self._next_pid = peer_id
-            peer = SwarmPeer(
-                peer_id=peer_id,
-                upload_kbps=config.seed_upload_kbps,
-                is_seed=True,
-                bitfield=Bitfield.complete(config.piece_count),
-                behavior=seed_profile.name,
-                locality_group=groups[config.leechers + k],
-            )
-            self.peers[peer_id] = peer
-            self._profiles[peer_id] = seed_profile
-            self._chokers[peer_id] = SeedChoker(slots=config.seed_slots)
-
-        for pid in self.peers:
-            contacts = self.tracker.announce(pid, announce_rng)
-            if self._resilience_active:
-                # Construction happens before round 1, so no outage window
-                # can cover it: every announce lands on its preferred
-                # replica (round_index=0 is outside all windows).
+            # Construction happens before round 1, outside every outage
+            # window: each announce lands on its preferred replica.
+            for pid in range(1, n_initial + 1):
                 self._resilience.record_announce(pid, 0)
-            if self._behaviors_active:
-                contacts = self._filter_contacts(pid, contacts, behavior_rng)
-            self.peers[pid].neighbors.update(contacts)
-            for other in contacts:
-                self.peers[other].neighbors.add(pid)
         # Peers that join already holding the full content announce as
         # seeders: scrape counts them, the snatch counter does not.
-        for pid, peer in self.peers.items():
-            if peer.bitfield.is_complete():
+        for pid in range(1, n_initial + 1):
+            if self._pieces_held(pid) == config.piece_count:
                 self.tracker.register_complete(pid)
 
-    def _locality_group_of(self, pid: int) -> int:
-        """Locality group of a peer, crashed peers included.
-
-        A crashed peer never departs the tracker, so its id can show up
-        in another peer's contacts; its group (assigned at arrival,
-        retained across the crash) lives on its frozen snapshot.
-        """
-        peer = self.peers.get(pid)
-        if peer is None:
-            peer = self._departed[pid]
-        return peer.locality_group
-
-    def _filter_contacts(
+    def _join(
         self,
-        pid: int,
-        contacts: Sequence[int],
-        behavior_rng: np.random.Generator,
-    ) -> List[int]:
-        """Apply ``pid``'s locality / NAT edge behaviors to its contacts."""
+        uploads: List[float],
+        behaviors: List[str],
+        groups: List[int],
+        start_pieces: int,
+        arrival_round: int,
+        seeds: int = 0,
+    ) -> int:
+        """Add one join wave, the last ``seeds`` of it seeds; returns its first pid.
+
+        Draws the wave's tracker-select batch (the pids are allocated in
+        order, so they are known up front), then each leecher's bootstrap
+        pieces in id order.  The announces are the caller's.
+        """
+        config = self.config
+        first = len(self._profiles) + 1
+        if self._resilience_active:
+            self._resilience.assign_preferences(
+                list(range(first, first + len(uploads))),
+                self.source.stream(streams.TRACKER_SELECT),
+            )
+        profiles = [profile_for(name) for name in behaviors]
+        bootstrap_rng = self.source.stream(streams.BOOTSTRAP)
+        pieces: List[Optional[np.ndarray]] = []
+        for profile in profiles[: len(profiles) - seeds]:
+            count = bootstrap_piece_count(profile, start_pieces, config.piece_count)
+            pieces.append(
+                bootstrap_rng.choice(config.piece_count, size=count, replace=False)
+                if count
+                else np.empty(0, dtype=np.int64)
+            )
+        pieces.extend([None] * seeds)
+        self._profiles.extend(profiles)
+        self._groups.extend(groups)
+        self._add_peers(uploads, pieces, arrival_round)
+        return first
+
+    def _filter_contacts(self, pid: int, contacts: Iterable[int]) -> List[int]:
+        """Apply ``pid``'s locality / NAT edge behaviors to its contacts.
+
+        A crashed peer keeps its profile and group, so its stale tracker
+        entry is judged like a live contact.
+        """
         contact_list = [int(contact) for contact in contacts]
+        profiles, groups = self._profiles, self._groups
         return filter_contacts(
-            self._profiles[pid],
-            self.peers[pid].locality_group,
+            profiles[pid - 1],
+            groups[pid - 1],
             contact_list,
-            [self._locality_group_of(contact) for contact in contact_list],
-            [self._profiles[contact].nat_limited for contact in contact_list],
-            behavior_rng,
+            [groups[contact - 1] for contact in contact_list],
+            [profiles[contact - 1].nat_limited for contact in contact_list],
+            self.source.stream(streams.BEHAVIOR),
         )
+
+    def _announce(self, pid: int, rng: np.random.Generator) -> List[int]:
+        """One tracker announce: its contacts in draw order, behavior-filtered."""
+        contacts = self.tracker.announce(pid, rng)
+        if self._behaviors_active:
+            return self._filter_contacts(pid, contacts)
+        return [int(contact) for contact in contacts]
 
     # -- membership dynamics -------------------------------------------------------
 
     def _process_membership(self, round_index: int) -> None:
-        """Apply the scenario's departures and arrivals for this round.
+        """Apply the round's membership steps in their pinned order.
 
-        The order (departures, then one arrival-count draw, then one
-        capacity batch, then per-arrival bootstrap + announce) is the
-        engine-shared protocol documented in
-        :mod:`repro.bittorrent.scenarios` -- the fast engine replays it
-        step for step on the same streams.  When a fault schedule is
-        active the protocol grows pinned extra steps (see
-        ``docs/faults.md``): recovery flush and crash rejoins *before*
-        the scenario departures, crash events and announce retries after
-        them, and partition-side assignment at the very end.
+        Departures, then one arrival-count draw, one capacity batch and
+        per-arrival bootstrap + announce (:mod:`repro.bittorrent.scenarios`).
+        An active fault schedule adds pinned steps (``docs/faults.md``):
+        recovery flush and crash rejoins before everything else, crash
+        events and announce retries after the departures, and partition
+        sides at the very end.  Dead-neighbor eviction runs right after
+        the rejoins (``docs/resilience.md``).
         """
         scenario = self.scenario
         if self._faults_active:
@@ -568,27 +581,21 @@ class SwarmSimulator:
                     self.tracker.depart(pid)
             self._process_rejoins(round_index)
         if self._resilience_active:
-            # Dead-neighbor eviction: fire the keepalive timeouts, then
-            # deliver any pending stale-registration purges if a replica
-            # is reachable.  Runs after the rejoin step so a peer that
-            # came back this round keeps its (live again) registration.
+            # Fire the keepalive timeouts, then deliver pending purges of
+            # stale registrations if a replica is reachable.  After the
+            # rejoins, so a peer back this round keeps its registration.
             self._resilience.begin_round(round_index)
             if self.tracker_available:
                 for pid in self._resilience.drain_purges():
-                    if pid in self.peers:
-                        continue  # rejoined: the registration is live again
-                    if self.tracker.is_registered(pid):
+                    if pid in self._departed and self.tracker.is_registered(pid):
                         self.tracker.depart(pid)
                         self._resilience.count_purge()
-        if scenario.departure != "stay":
-            due = [
-                pid
-                for pid, peer in self.peers.items()
-                if not peer.is_seed
-                and scenario.should_depart(peer.completed_round, round_index)
-            ]
-            for pid in due:
-                self._depart(pid, round_index)
+        # A stale entry (the peer crashed meanwhile) must not fire while
+        # the peer is gone, and a rejoiner's rescheduled entry can sit
+        # beside its original one.
+        due = self._depart_due.pop(round_index, [])
+        for pid in sorted({pid for pid in due if pid not in self._departed}):
+            self._depart(pid, round_index)
         if self._faults_active:
             self._process_crashes(round_index)
             self._process_pending_announces(round_index)
@@ -599,81 +606,63 @@ class SwarmSimulator:
             capacities = scenario.sample_capacities(count, self.source.stream(streams.BANDWIDTH))
             behavior_rng = self.source.stream(streams.BEHAVIOR)
             arrival_mix = self._arrival_mix
-            arrival_behaviors = arrival_mix.assign(count, behavior_rng)
-            arrival_groups = (
+            behaviors = arrival_mix.assign(count, behavior_rng)
+            groups = (
                 arrival_mix.assign_groups(count, behavior_rng)
                 if self._locality_on
                 else [-1] * count
             )
-            if self._resilience_active:
-                # One tracker-select batch per arrival wave (the pids are
-                # allocated sequentially, so both engines know them before
-                # the per-arrival loop runs).
-                self._resilience.assign_preferences(
-                    [self._next_pid + 1 + k for k in range(count)],
-                    self.source.stream(streams.TRACKER_SELECT),
-                )
-            for k in range(count):
-                self._arrive(
-                    float(capacities[k]),
-                    round_index,
-                    arrival_behaviors[k],
-                    arrival_groups[k],
-                )
+            first = self._join(
+                [float(capacity) for capacity in capacities],
+                behaviors,
+                groups,
+                scenario.arrival_pieces(self.config.piece_count),
+                arrival_round=round_index,
+            )
+            for pid in range(first, first + count):
+                self._announce_or_queue(pid, round_index)
             self._total_arrived += count
         if self._faults_active and self._faults.partition_active(round_index):
             self._faults.assign_missing_groups(
-                round_index,
-                sorted(self.peers),
-                self.source.stream(streams.FAULT_PARTITION),
+                round_index, self._live_ids(), self.source.stream(streams.FAULT_PARTITION)
             )
+
+    def _schedule_departure(self, pid: int, due_round: int) -> None:
+        if self.scenario.departure != "stay":
+            self._depart_due.setdefault(due_round, []).append(pid)
 
     def _depart(self, pid: int, round_index: int) -> None:
         """Remove a completed leecher; freeze its statistics in the result."""
-        peer = self.peers.pop(pid)
-        peer.departed_round = round_index
-        for other in peer.neighbors:
-            if other in self.peers:
-                self.peers[other].neighbors.discard(pid)
+        snapshot = self._depart_peer(pid)
+        snapshot.departed_round = round_index
+        self._departed[pid] = snapshot
         if self._faults_active and not self.tracker_available:
             # The stopped event cannot reach the tracker mid-outage; it
             # is delivered on recovery.
             self._faults.defer_depart(pid)
         else:
             self.tracker.depart(pid)
-        del self._chokers[pid]
-        self._departed[pid] = peer
 
     # -- fault dynamics ------------------------------------------------------------
 
     def _announce_or_queue(self, pid: int, round_index: int) -> None:
         """Announce ``pid`` to the tracker, or queue a retry mid-outage.
 
-        Successful announces consume the tracker draw (plus the behavior
-        filter batch when active) and connect symmetric edges; contacts
-        that crashed since the tracker last heard from them are dropped
-        (a dead peer does not answer a handshake).  During an outage
-        nothing is drawn -- the announce retries with doubling backoff.
+        A successful announce draws the tracker batch (plus the behavior
+        filter batch when active) and connects symmetric edges; contacts
+        that crashed since the tracker last heard from them are dropped (a
+        dead peer does not answer a handshake).  During an outage nothing
+        is drawn -- the announce retries with doubling backoff.
         """
         if not self.tracker_available:
             self._faults.queue_announce(pid, round_index)
             if self._resilience_active and self.resilience.pex:
                 self._pex_bootstrap(pid)
             return
-        contacts = self.tracker.announce(pid, self.source.stream(streams.TRACKER))
+        contacts = self._announce(pid, self.source.stream(streams.TRACKER))
         if self._resilience_active:
             self._resilience.record_announce(pid, round_index)
-        if self._behaviors_active:
-            contacts = self._filter_contacts(
-                pid, contacts, self.source.stream(streams.BEHAVIOR)
-            )
-        peer = self.peers[pid]
-        for other in contacts:
-            other = int(other)
-            if other not in self.peers:
-                continue  # stale tracker entry: a crashed peer
-            peer.neighbors.add(other)
-            self.peers[other].neighbors.add(pid)
+        self._connect(pid, contacts)
 
     def _pex_bootstrap(self, pid: int) -> None:
         """Seed a blacked-out (re)joiner with cached peer contacts.
@@ -681,51 +670,38 @@ class SwarmSimulator:
         An arrival that finds every replica down would otherwise sit alone
         in the retry queue; with PEX on it samples a bounded handful of
         longer-lived peers (ids strictly below its own: resume caches and
-        local discovery only know peers that existed first -- and, less
-        romantically, the only membership rule both engines can evaluate
-        identically mid-arrival-wave).  One pex-gossip batch per queued
-        announce.
+        local discovery only know peers that existed first).  One
+        pex-gossip batch per queued announce.
         """
-        candidates = sorted(p for p in self.peers if p < pid)
+        candidates = [other for other in self._live_ids() if other < pid]
         sample = sample_pools(
             [candidates],
             self.resilience.pex_sample,
             self.source.stream(streams.PEX_GOSSIP),
         )[0]
-        if not sample:
-            return
-        peer = self.peers[pid]
-        for other in sample:
-            peer.neighbors.add(other)
-            self.peers[other].neighbors.add(pid)
-        self._resilience.count_bootstrap()
+        if sample:
+            self._connect(pid, sample)
+            self._resilience.count_bootstrap()
 
-    def _pex_round(self, transfers: Dict[Tuple[int, int], float]) -> None:
+    def _pex_round(self, transfers: List[Transfer]) -> None:
         """Gossip neighbor samples along this round's surviving transfers.
 
         Only runs while every replica is unreachable.  Each directed
         (sender, receiver) pair carries one bounded sample of the sender's
         live neighbors (receiver excluded); all samples of the round are
         drawn as one pinned pex-gossip batch over the sorted pairs
-        *before* any edge is added, so the pools both engines sample from
-        are identical by construction.
+        *before* any edge is added.
         """
-        pairs = sorted(transfers)
+        pairs = sorted((sender, receiver) for sender, receiver, _ in transfers)
         pools = [
-            [p for p in sorted(self.peers[a].neighbors) if p != b]
-            for a, b in pairs
+            [other for other in self._sorted_neighbors(sender) if other != receiver]
+            for sender, receiver in pairs
         ]
         samples = sample_pools(
             pools, self.resilience.pex_sample, self.source.stream(streams.PEX_GOSSIP)
         )
-        for (a, b), sample in zip(pairs, samples):
-            receiver = self.peers[b]
-            for pid in sample:
-                if pid == b or pid in receiver.neighbors:
-                    continue
-                receiver.neighbors.add(pid)
-                self.peers[pid].neighbors.add(b)
-                self._resilience.count_introduction()
+        for (_, receiver), sample in zip(pairs, samples):
+            self._resilience.count_introduction(self._connect(receiver, sample))
 
     def _process_rejoins(self, round_index: int) -> None:
         """Restore crashed peers whose rejoin falls due this round.
@@ -734,31 +710,28 @@ class SwarmSimulator:
         neighbors, partial piece credit and choker state did not, so the
         peer comes back like a fresh arrival that happens to hold pieces
         -- announcing to the tracker (or queueing the announce when the
-        rejoin lands mid-outage).
+        rejoin lands mid-outage).  An already-complete rejoiner re-enters
+        the departure queue.
         """
-        due = self._faults.rejoins_due(round_index)
-        if not due:
-            return
-        config = self.config
-        for pid in due:
-            peer = self._departed.pop(pid)
-            peer.departed_round = None
+        for pid in self._faults.rejoins_due(round_index):
+            snapshot = self._departed.pop(pid)
             if self._resilience_active:
                 self._resilience.cancel_eviction(pid)
-            self.peers[pid] = peer
-            self._chokers[pid] = TitForTatChoker(
-                regular_slots=config.regular_slots,
-                optimistic_slots=config.optimistic_slots,
-                optimistic_period=config.optimistic_period,
-            )
+            self._rejoin_peer(snapshot)
+            if snapshot.completed_round is not None:
+                self._schedule_departure(
+                    pid,
+                    max(
+                        round_index,
+                        snapshot.completed_round + 1 + self.scenario.effective_linger,
+                    ),
+                )
             self._announce_or_queue(pid, round_index)
-        # Keep the peer dict in ascending-pid iteration order, matching
-        # the fast engine's dense-index sweeps.
-        self.peers = dict(sorted(self.peers.items()))
 
     def _process_crashes(self, round_index: int) -> None:
         """Fire the round's crash event, if the schedule has one."""
-        candidates = [pid for pid, peer in self.peers.items() if not peer.is_seed]
+        seeds = range(self.config.leechers + 1, self.config.leechers + self.config.seeds + 1)
+        candidates = [pid for pid in self._live_ids() if pid not in seeds]
         victims = self._faults.select_crash_victims(
             round_index, candidates, self.source.stream(streams.FAULT_CRASH)
         )
@@ -772,26 +745,21 @@ class SwarmSimulator:
         peer's id; neighbors, partial credit and last-round receipts are
         lost (a rejoin starts those from scratch), the bitfield is kept.
         """
-        peer = self.peers.pop(pid)
-        peer.departed_round = round_index
         if self._resilience_active:
             # The keepalive clock starts now; only a peer somebody was
             # connected to is detectable (captured before the scrub).
-            self._resilience.note_crash(pid, round_index, bool(peer.neighbors))
-        for other in peer.neighbors:
-            if other in self.peers:
-                self.peers[other].neighbors.discard(pid)
-        peer.neighbors = set()
-        peer.partial_kbit = {}
-        peer.received_last_round = {}
-        del self._chokers[pid]
+            self._resilience.note_crash(
+                pid, round_index, bool(self._sorted_neighbors(pid))
+            )
+        snapshot = self._crash_peer(pid)
+        snapshot.departed_round = round_index
+        self._departed[pid] = snapshot
         self._faults.clear_announce(pid)
-        self._departed[pid] = peer
 
     def _process_pending_announces(self, round_index: int) -> None:
         """Retry queued announces whose backoff expires this round."""
         for pid in self._faults.announces_due(round_index):
-            if pid not in self.peers:
+            if pid in self._departed:
                 # Crashed (or departed) while waiting: the announce dies
                 # with the peer.
                 self._faults.clear_announce(pid)
@@ -802,60 +770,44 @@ class SwarmSimulator:
             self._faults.clear_announce(pid)
             self._announce_or_queue(pid, round_index)
 
-    def _arrive(
-        self,
-        upload_kbps: float,
-        round_index: int,
-        behavior: str = "standard",
-        locality_group: int = -1,
-    ) -> None:
-        """Join one fresh leecher: bootstrap pieces, then a tracker announce."""
-        config = self.config
-        self._next_pid += 1
-        pid = self._next_pid
-        profile = profile_for(behavior)
-        bitfield = Bitfield.empty(config.piece_count)
-        start_pieces = bootstrap_piece_count(
-            profile, self.scenario.arrival_pieces(config.piece_count), config.piece_count
+    def _filter_faulty_transfers(
+        self, transfers: List[Transfer], round_index: int
+    ) -> List[Transfer]:
+        """Drop transfers lost to partitions and message loss this round.
+
+        The unchoke decisions stand -- loss kills the payload, not the
+        relationship -- so ``regular_pairs`` (and with it the reciprocal
+        Tit-for-Tat statistic) comes from the *planned* round.  The loss
+        batch is drawn over the sorted pid pairs.
+        """
+        if not transfers:
+            return transfers
+        dropped = self._faults.dropped_pairs(
+            round_index,
+            sorted((sender, receiver) for sender, receiver, _ in transfers),
+            self.source.stream(streams.FAULT_LOSS),
         )
-        if start_pieces:
-            for piece in self.source.stream(streams.BOOTSTRAP).choice(
-                config.piece_count, size=start_pieces, replace=False
-            ):
-                bitfield.add(int(piece))
-        peer = SwarmPeer(
-            peer_id=pid,
-            upload_kbps=upload_kbps,
-            is_seed=False,
-            bitfield=bitfield,
-            arrival_round=round_index,
-            behavior=profile.name,
-            locality_group=locality_group,
-        )
-        self.peers[pid] = peer
-        self._profiles[pid] = profile
-        self._chokers[pid] = TitForTatChoker(
-            regular_slots=config.regular_slots,
-            optimistic_slots=config.optimistic_slots,
-            optimistic_period=config.optimistic_period,
-        )
-        self._announce_or_queue(pid, round_index)
+        if not dropped:
+            return transfers
+        return [t for t in transfers if (t[0], t[1]) not in dropped]
 
     # -- simulation ---------------------------------------------------------------
 
     def run(self) -> SwarmResult:
         """Run the configured number of rounds and return the results."""
-        if self._fast is not None:
-            return self._fast.run()
         config = self.config
         scenario = self.scenario
         observer = self.observer
         if observer is not None:
-            observer.begin_run(_ReferenceSwarmView(self))
+            observer.begin_run(_SwarmView(self))
         rng = self.source.stream(streams.ROUNDS)
         collaboration: Dict[Tuple[int, int], float] = {}
         tft_rounds: Dict[Tuple[int, int], float] = {}
-        completed = sum(1 for p in self.peers.values() if not p.is_seed and p.bitfield.is_complete())
+        completed = sum(
+            1
+            for pid in range(1, config.leechers + 1)
+            if self._pieces_held(pid) == config.piece_count
+        )
 
         rounds_run = config.rounds
         for round_index in range(1, config.rounds + 1):
@@ -864,7 +816,13 @@ class SwarmSimulator:
             if self._faults_active:
                 transfers = self._filter_faulty_transfers(transfers, round_index)
             self._record_reciprocal_tft(regular_pairs, tft_rounds, round_index)
-            completed += self._apply_round(transfers, collaboration, rng, round_index)
+            for pid in self._apply_round(transfers, collaboration, rng, round_index):
+                completed += 1
+                if self._faults_active and not self.tracker_available:
+                    self._faults.defer_completion(pid)
+                else:
+                    self.tracker.record_completion(pid)
+                self._schedule_departure(pid, round_index + 1 + scenario.effective_linger)
             if (
                 self._resilience_active
                 and self.resilience.pex
@@ -873,12 +831,9 @@ class SwarmSimulator:
                 self._pex_round(transfers)
             if observer is not None:
                 observer.observe_round(round_index, regular_pairs)
+            # Downloading leechers only: partial seeds never complete.
             if (
-                all(
-                    p.bitfield.is_complete()
-                    for p in self.peers.values()
-                    if not p.is_seed and self._profiles[p.peer_id].downloads
-                )
+                self._incomplete_count() == 0
                 and not scenario.more_arrivals_after(round_index, self._total_arrived)
                 and not (
                     self._faults_active
@@ -904,75 +859,6 @@ class SwarmSimulator:
             ),
         )
 
-    def _plan_round(
-        self, rng: np.random.Generator
-    ) -> Tuple[Dict[Tuple[int, int], float], Set[Tuple[int, int]]]:
-        """Decide unchokes and the kilobits each peer pushes to each partner.
-
-        Returns the planned transfers and the set of directed (sender,
-        target) pairs granted a *regular* Tit-for-Tat slot this round.
-        """
-        config = self.config
-        transfers: Dict[Tuple[int, int], float] = {}
-        regular_pairs: Set[Tuple[int, int]] = set()
-        for peer in self.peers.values():
-            profile = self._profiles[peer.peer_id]
-            if not profile.unchokes:
-                # BitThief never reciprocates: skipped before the choker,
-                # so no stream draw is consumed (the fast engine skips the
-                # same owners in the same ascending order).
-                continue
-            interested = [
-                other
-                for other in sorted(peer.neighbors)
-                if not self.peers[other].is_seed
-                and self._profiles[other].downloads
-                and self.peers[other].bitfield.is_interested_in(peer.bitfield)
-            ]
-            if not interested:
-                continue
-            decision = self._chokers[peer.peer_id].select_unchoked(
-                peer.peer_id, interested, peer.received_last_round, rng
-            )
-            unchoked = decision.all
-            if not unchoked:
-                continue
-            for target in decision.regular:
-                regular_pairs.add((peer.peer_id, target))
-            budget_kbit = peer.upload_kbps * config.round_seconds
-            if profile.upload_factor != 1.0:
-                # The != 1.0 guard keeps the float sequence of standard
-                # peers byte-identical to the behavior-free code path.
-                budget_kbit *= profile.upload_factor
-            share = budget_kbit / len(unchoked)
-            for target in unchoked:
-                transfers[(peer.peer_id, target)] = share
-        return transfers, regular_pairs
-
-    def _filter_faulty_transfers(
-        self,
-        transfers: Dict[Tuple[int, int], float],
-        round_index: int,
-    ) -> Dict[Tuple[int, int], float]:
-        """Drop transfers lost to partitions and message loss this round.
-
-        The unchoke decisions stand -- loss kills the payload, not the
-        relationship -- so ``regular_pairs`` (and with it the reciprocal
-        Tit-for-Tat statistic) is computed from the *planned* round.  The
-        loss batch is drawn over the sorted pid pairs, the same
-        canonical order the fast engine uses.
-        """
-        if not transfers:
-            return transfers
-        dropped = self._faults.dropped_pairs(
-            round_index, sorted(transfers), self.source.stream(streams.FAULT_LOSS)
-        )
-        if not dropped:
-            return transfers
-        return {
-            pair: share for pair, share in transfers.items() if pair not in dropped
-        }
-
     def _record_reciprocal_tft(
         self,
         regular_pairs: Set[Tuple[int, int]],
@@ -991,23 +877,251 @@ class SwarmSimulator:
                 key = (sender, target)
                 tft_rounds[key] = tft_rounds.get(key, 0.0) + 1.0
 
+    # -- backend interface --------------------------------------------------------
+    #
+    # Peer ids are allocated 1, 2, ... in join order and never reused.  A
+    # backend sees every mutation through these hooks, in the protocol's
+    # order, and never draws from the random source itself: the protocol
+    # passes in the generators it needs.
+
+    def _init_state(self) -> None:
+        """Create the empty peer state (called once, before the first join)."""
+        raise NotImplementedError
+
+    def _add_peers(
+        self, uploads: List[float], pieces: List[Optional[np.ndarray]], arrival_round: int
+    ) -> None:
+        """Add the next ``len(uploads)`` peers, their profiles and groups already known.
+
+        ``pieces`` holds each peer's bootstrap piece indices, ``None`` for
+        a seed (which holds every piece).
+        """
+        raise NotImplementedError
+
+    def _announce_population(self, count: int, rng: np.random.Generator) -> None:
+        """Announce the initial peers ``1..count`` in id order and connect them."""
+        for pid in range(1, count + 1):
+            self._connect(pid, self._announce(pid, rng))
+
+    def _connect(self, pid: int, contacts: Iterable[int]) -> int:
+        """Add symmetric edges to the present contacts; returns how many were new."""
+        raise NotImplementedError
+
+    def _depart_peer(self, pid: int) -> SwarmPeer:
+        """Unlink a departing peer; its snapshot keeps neighbors and credit."""
+        raise NotImplementedError
+
+    def _crash_peer(self, pid: int) -> SwarmPeer:
+        """Unlink a crashed peer; its snapshot keeps only bitfield and statistics."""
+        raise NotImplementedError
+
+    def _rejoin_peer(self, snapshot: SwarmPeer) -> None:
+        """Bring a crashed peer back, unconnected, with a fresh choker."""
+        raise NotImplementedError
+
+    def _live_ids(self) -> List[int]:
+        """Present peer ids, ascending."""
+        raise NotImplementedError
+
+    def _sorted_neighbors(self, pid: int) -> List[int]:
+        """A present peer's neighbor ids, ascending."""
+        raise NotImplementedError
+
+    def _pieces_held(self, pid: int) -> Optional[int]:
+        """How many pieces ``pid`` holds, ``None`` when it is not present."""
+        raise NotImplementedError
+
+    def _incomplete_count(self) -> int:
+        """Present downloading leechers that still miss pieces."""
+        raise NotImplementedError
+
+    def _plan_round(
+        self, rng: np.random.Generator
+    ) -> Tuple[List[Transfer], Set[Tuple[int, int]]]:
+        """Decide unchokes and the kilobits each peer pushes to each partner.
+
+        Returns the planned transfers, owners in ascending id order, and
+        the directed (sender, target) pairs granted a *regular*
+        Tit-for-Tat slot this round.
+        """
+        raise NotImplementedError
+
     def _apply_round(
         self,
-        transfers: Dict[Tuple[int, int], float],
+        transfers: List[Transfer],
         collaboration: Dict[Tuple[int, int], float],
         rng: np.random.Generator,
         round_index: int,
-    ) -> int:
-        """Turn planned transfers into pieces; return newly completed peers."""
-        availability = piece_availability(
-            (peer.bitfield for peer in self.peers.values()), self.config.piece_count
-        )
-        received_now: Dict[int, Dict[int, float]] = {pid: {} for pid in self.peers}
-        newly_completed = 0
+    ) -> List[int]:
+        """Turn transfers into pieces; returns the newly completed peer ids."""
+        raise NotImplementedError
 
-        for (sender_id, receiver_id), volume_kbit in transfers.items():
-            sender = self.peers[sender_id]
-            receiver = self.peers[receiver_id]
+    def _snapshot(self, pid: int) -> SwarmPeer:
+        """A present peer as a :class:`SwarmPeer`."""
+        raise NotImplementedError
+
+
+class ReferenceSwarmSimulator(SwarmSimulator):
+    """The reference backend: one :class:`SwarmPeer` per present peer.
+
+    Dictionaries and sets, one choker object per peer and a piece
+    selector -- the direct transcription of the model, and the
+    correctness oracle of the fast engine.  ``_peers`` stays in ascending
+    id order, so every sweep visits peers (and consumes the rounds
+    stream) in the order of the fast engine's dense rows.
+    """
+
+    engine = "reference"
+    tracker_type = Tracker
+
+    def _init_state(self) -> None:
+        self.selector: PieceSelector = make_selector(self.config.piece_selection)
+        self._peers: Dict[int, SwarmPeer] = {}
+        self._chokers: Dict[int, TitForTatChoker | SeedChoker] = {}
+
+    def _leecher_choker(self) -> TitForTatChoker:
+        config = self.config
+        return TitForTatChoker(
+            regular_slots=config.regular_slots,
+            optimistic_slots=config.optimistic_slots,
+            optimistic_period=config.optimistic_period,
+        )
+
+    def _add_peers(
+        self, uploads: List[float], pieces: List[Optional[np.ndarray]], arrival_round: int
+    ) -> None:
+        piece_count = self.config.piece_count
+        first = len(self._profiles) - len(uploads) + 1
+        for pid, (upload, held) in enumerate(zip(uploads, pieces), start=first):
+            self._peers[pid] = SwarmPeer(
+                peer_id=pid,
+                upload_kbps=upload,
+                is_seed=held is None,
+                bitfield=(
+                    Bitfield.complete(piece_count)
+                    if held is None
+                    else Bitfield.from_indices(piece_count, held.tolist())
+                ),
+                arrival_round=arrival_round,
+                behavior=self._profiles[pid - 1].name,
+                locality_group=self._groups[pid - 1],
+            )
+            self._chokers[pid] = (
+                SeedChoker(slots=self.config.seed_slots)
+                if held is None
+                else self._leecher_choker()
+            )
+
+    def _connect(self, pid: int, contacts: Iterable[int]) -> int:
+        peer = self._peers[pid]
+        added = 0
+        for other in contacts:
+            partner = self._peers.get(other)
+            if partner is None or other == pid or other in peer.neighbors:
+                continue  # a crashed peer's stale tracker entry, or no news
+            peer.neighbors.add(other)
+            partner.neighbors.add(pid)
+            added += 1
+        return added
+
+    def _depart_peer(self, pid: int) -> SwarmPeer:
+        peer = self._peers.pop(pid)
+        for other in peer.neighbors:
+            self._peers[other].neighbors.discard(pid)
+        del self._chokers[pid]
+        return peer
+
+    def _crash_peer(self, pid: int) -> SwarmPeer:
+        peer = self._depart_peer(pid)
+        peer.neighbors = set()
+        peer.partial_kbit = {}
+        peer.received_last_round = {}
+        return peer
+
+    def _rejoin_peer(self, snapshot: SwarmPeer) -> None:
+        snapshot.departed_round = None
+        self._peers[snapshot.peer_id] = snapshot
+        self._peers = dict(sorted(self._peers.items()))
+        self._chokers[snapshot.peer_id] = self._leecher_choker()
+
+    def _live_ids(self) -> List[int]:
+        return list(self._peers)
+
+    def _sorted_neighbors(self, pid: int) -> List[int]:
+        return sorted(self._peers[pid].neighbors)
+
+    def _pieces_held(self, pid: int) -> Optional[int]:
+        peer = self._peers.get(pid)
+        return None if peer is None else peer.bitfield.count()
+
+    def _incomplete_count(self) -> int:
+        return sum(
+            1
+            for pid, peer in self._peers.items()
+            if not peer.is_seed
+            and self._profiles[pid - 1].downloads
+            and not peer.bitfield.is_complete()
+        )
+
+    def _snapshot(self, pid: int) -> SwarmPeer:
+        return self._peers[pid]
+
+    def _plan_round(
+        self, rng: np.random.Generator
+    ) -> Tuple[List[Transfer], Set[Tuple[int, int]]]:
+        config = self.config
+        transfers: List[Transfer] = []
+        regular_pairs: Set[Tuple[int, int]] = set()
+        for peer in self._peers.values():
+            profile = self._profiles[peer.peer_id - 1]
+            if not profile.unchokes:
+                # BitThief never reciprocates: skipped before the choker,
+                # so no stream draw is consumed.
+                continue
+            interested = [
+                other
+                for other in sorted(peer.neighbors)
+                if not self._peers[other].is_seed
+                and self._profiles[other - 1].downloads
+                and self._peers[other].bitfield.is_interested_in(peer.bitfield)
+            ]
+            if not interested:
+                continue
+            decision = self._chokers[peer.peer_id].select_unchoked(
+                peer.peer_id, interested, peer.received_last_round, rng
+            )
+            unchoked = decision.all
+            if not unchoked:
+                continue
+            for target in decision.regular:
+                regular_pairs.add((peer.peer_id, target))
+            budget_kbit = peer.upload_kbps * config.round_seconds
+            if profile.upload_factor != 1.0:
+                # The != 1.0 guard keeps the float sequence of standard
+                # peers byte-identical to the behavior-free code path.
+                budget_kbit *= profile.upload_factor
+            share = budget_kbit / len(unchoked)
+            for target in unchoked:
+                transfers.append((peer.peer_id, target, share))
+        return transfers, regular_pairs
+
+    def _apply_round(
+        self,
+        transfers: List[Transfer],
+        collaboration: Dict[Tuple[int, int], float],
+        rng: np.random.Generator,
+        round_index: int,
+    ) -> List[int]:
+        piece_size = self.config.piece_size_kbit
+        availability = piece_availability(
+            (peer.bitfield for peer in self._peers.values()), self.config.piece_count
+        )
+        received_now: Dict[int, Dict[int, float]] = {pid: {} for pid in self._peers}
+        newly_completed: List[int] = []
+
+        for sender_id, receiver_id, volume_kbit in transfers:
+            sender = self._peers[sender_id]
+            receiver = self._peers[receiver_id]
             wanted = receiver.bitfield.interesting_pieces(sender.bitfield)
             if not wanted:
                 continue
@@ -1022,10 +1136,10 @@ class SwarmSimulator:
             # Convert the received volume into whole pieces, rarest first.
             # A super-seeding sender reveals at most reveal_limit pieces
             # per transfer; the unconverted credit carries over as usual.
-            reveal_limit = self._profiles[sender_id].reveal_limit
+            reveal_limit = self._profiles[sender_id - 1].reveal_limit
             taken = 0
             credit = receiver.partial_kbit.get(sender_id, 0.0) + volume_kbit
-            while credit >= self.config.piece_size_kbit:
+            while credit >= piece_size:
                 if reveal_limit is not None and taken >= reveal_limit:
                     break
                 wanted = receiver.bitfield.interesting_pieces(sender.bitfield)
@@ -1036,19 +1150,15 @@ class SwarmSimulator:
                     break
                 receiver.bitfield.add(piece)
                 availability[piece] += 1
-                credit -= self.config.piece_size_kbit
+                credit -= piece_size
                 taken += 1
                 if receiver.bitfield.is_complete() and receiver.completed_round is None:
                     receiver.completed_round = round_index
-                    newly_completed += 1
-                    if self._faults_active and not self.tracker_available:
-                        self._faults.defer_completion(receiver_id)
-                    else:
-                        self.tracker.record_completion(receiver_id)
+                    newly_completed.append(receiver_id)
             receiver.partial_kbit[sender_id] = credit
 
         for pid, received in sorted(received_now.items()):
-            self.peers[pid].received_last_round = received
+            self._peers[pid].received_last_round = received
         return newly_completed
 
 

@@ -41,12 +41,15 @@ curves, the observed stratification index) live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.bittorrent.faults import TrackerUnavailableError
 from repro.bittorrent.tracker import ScrapeStats
 from repro.sim import streams
 from repro.sim.recorder import MetricRecorder
+
+if TYPE_CHECKING:
+    from repro.bittorrent.swarm import SwarmSimulator
 
 __all__ = [
     "ObserverConfig",
@@ -305,10 +308,10 @@ class SwarmObserver:
     The engine drives the observer: it calls :meth:`begin_run` with a view
     of itself before the first round, :meth:`observe_round` after every
     completed round, and :meth:`finish` when the run ends.  The *view* is
-    the narrow read-only surface both engines expose identically --
+    the narrow read-only surface every run exposes identically --
     ``source``, ``piece_count``, ``piece_size_kbit``, ``round_seconds``,
     ``scrape()``, ``known_peers()`` and ``progress(peer_id)`` (see
-    :class:`_ReferenceSwarmView` / :class:`_FastSwarmView`).
+    :class:`_SwarmView`).
     """
 
     def __init__(self, config: Optional[ObserverConfig] = None) -> None:
@@ -415,18 +418,19 @@ def resolve_observer(
     )
 
 
-class _ReferenceSwarmView:
-    """Read-only measurement surface of the reference engine.
+class _SwarmView:
+    """Read-only measurement surface of a swarm run, on either engine.
 
     Tracker endpoints (``scrape`` / ``known_peers``) raise
     :class:`~repro.bittorrent.faults.TrackerUnavailableError` during a
-    scheduled outage -- the observer sees the failure, the engine never
+    scheduled outage -- the observer sees the failure, the simulator never
     does (its own announces are deferred internally, not via this view).
-    ``progress`` returns ``None`` for peers not currently present (a
-    crashed peer's stale tracker entry can still be sampled).
+    ``progress`` is the integer piece count over the torrent size, so it
+    is bit-identical across engines, and ``None`` for peers not currently
+    present (a crashed peer's stale tracker entry can still be sampled).
     """
 
-    def __init__(self, simulator) -> None:
+    def __init__(self, simulator: "SwarmSimulator") -> None:
         self._simulator = simulator
         config = simulator.config
         self.piece_count = config.piece_count
@@ -445,10 +449,8 @@ class _ReferenceSwarmView:
         return self._simulator.tracker.known_peers()
 
     def progress(self, peer_id: int) -> Optional[float]:
-        peer = self._simulator.peers.get(peer_id)
-        if peer is None:
-            return None
-        return peer.bitfield.count() / self.piece_count
+        held = self._simulator._pieces_held(peer_id)
+        return None if held is None else held / self.piece_count
 
     def stale_count(self) -> int:
         """Crashed-but-registered ghosts in the scrape (omniscient).
@@ -456,44 +458,4 @@ class _ReferenceSwarmView:
         Consumes no randomness and mutates nothing; see
         :meth:`repro.bittorrent.tracker.Tracker.stale_count`.
         """
-        return self._simulator.tracker.stale_count(self._simulator.peers)
-
-
-class _FastSwarmView:
-    """Read-only measurement surface of the fast engine.
-
-    ``progress`` divides the same two integers as the reference view, so
-    the reported floats are bit-identical; outage and absent-peer
-    behavior mirror :class:`_ReferenceSwarmView` exactly.
-    """
-
-    def __init__(self, simulator) -> None:
-        self._simulator = simulator
-        config = simulator.config
-        self.piece_count = config.piece_count
-        self.piece_size_kbit = config.piece_size_kbit
-        self.round_seconds = config.round_seconds
-        self.source = simulator.source
-
-    def scrape(self) -> ScrapeStats:
-        if not self._simulator.tracker_available:
-            raise TrackerUnavailableError("tracker outage: scrape failed")
-        return self._simulator.tracker.scrape()
-
-    def known_peers(self) -> List[int]:
-        if not self._simulator.tracker_available:
-            raise TrackerUnavailableError("tracker outage: announce failed")
-        return self._simulator.tracker.known_peers()
-
-    def progress(self, peer_id: int) -> Optional[float]:
-        if not self._simulator.alive[peer_id - 1]:
-            return None
-        have = int(self._simulator.bitfields.have_count[peer_id - 1])
-        return have / self.piece_count
-
-    def stale_count(self) -> int:
-        """Crashed-but-registered ghosts in the scrape (omniscient)."""
-        simulator = self._simulator
-        return simulator.tracker.stale_count(
-            i + 1 for i in range(simulator.n_total) if simulator.alive[i]
-        )
+        return self._simulator.tracker.stale_count(self._simulator._live_ids())

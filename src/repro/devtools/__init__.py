@@ -8,8 +8,8 @@ named-stream determinism contract statically:
   ``sim/random_source.py``;
 * **RPD002** -- stream names not declared in the
   :mod:`repro.sim.streams` registry, plus the cross-engine parity check
-  that ``core/`` vs ``core/fast/`` and ``bittorrent/`` vs
-  ``bittorrent/fast/`` consume the same engine-paired stream sets;
+  that ``core/`` vs ``core/fast/`` consume the same engine-paired stream
+  sets (the swarm engines share one round protocol, so they need none);
 * **RPD003** -- iteration over a bare ``set``/``dict`` in a function
   that also touches an rng or stream (hash-order-dependent draw order);
 * **RPD004** -- wall-clock access inside simulation modules;

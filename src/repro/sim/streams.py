@@ -3,9 +3,13 @@
 Every stochastic component draws its randomness from a *named* child
 stream of a :class:`~repro.sim.random_source.RandomSource`.  The names are
 the contract that keeps ``engine="fast"`` and ``engine="reference"``
-bit-identical under a shared seed: both engines must request the same
-stream names, in the same per-round order, and consume the same number of
-draws from each.
+bit-identical under a shared seed: every stream must see the same draws,
+in the same per-round order, whichever engine runs.  The swarm simulator
+gets this by construction -- one round protocol
+(:class:`repro.bittorrent.swarm.SwarmSimulator`) draws every swarm stream
+and the engines differ only in how they store the swarm -- so its streams
+are not engine-paired.  The matching dynamics still consume
+``initiatives`` in both engine trees.
 
 This module is the single place where stream names are declared.  Code
 must consume streams through the constants below (``streams.BANDWIDTH``,
@@ -17,7 +21,7 @@ engine trees consume the same *engine-paired* stream sets.
 Adding a new stochastic feature therefore means:
 
 1. declare its stream here (constant + :class:`StreamSpec` entry, with
-   ``engine_paired=True`` if both engine trees will consume it);
+   ``engine_paired=True`` if both engine trees of a pair will consume it);
 2. consume it via ``source.stream(streams.YOUR_STREAM)``;
 3. run ``repro-p2p-lint src`` -- an undeclared or unpaired stream is a
    lint failure, not a 60-second equivalence-test failure.
@@ -72,10 +76,10 @@ class StreamSpec:
         dynamics, ``"bittorrent"`` for the swarm simulator).
     engine_paired:
         Whether the stream is consumed inside *both* trees of an
-        engine pair (``core/`` vs ``core/fast/``, ``bittorrent/`` vs
-        ``bittorrent/fast/``).  Paired streams are subject to the
-        linter's cross-engine parity check; unpaired streams live in
-        shared drivers, analysis modules or observers that have no fast
+        engine pair (``core/`` vs ``core/fast/``).  Paired streams are
+        subject to the linter's cross-engine parity check; unpaired
+        streams live in shared drivers (the swarm's round protocol among
+        them), analysis modules or observers that have no fast
         counterpart.
     description:
         What the stream's draws decide.
@@ -165,40 +169,47 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             BANDWIDTH,
             "bittorrent",
-            True,
+            False,
             "leecher upload capacities, for the initial population and for "
-            "scenario arrivals",
+            "scenario arrivals; drawn by the shared round protocol",
         ),
         StreamSpec(
             BOOTSTRAP,
             "bittorrent",
-            True,
-            "bootstrap piece endowments of new leechers",
+            False,
+            "bootstrap piece endowments of new leechers; drawn by the shared "
+            "round protocol",
         ),
         StreamSpec(
             TRACKER,
             "bittorrent",
-            True,
-            "tracker announce subsets (the swarm's acceptance graph)",
+            False,
+            "tracker announce subsets (the swarm's acceptance graph); drawn "
+            "by the shared round protocol (the fast engine's construction-"
+            "time CSR build receives the generator from it)",
         ),
         StreamSpec(
             SCENARIO,
             "bittorrent",
-            True,
-            "per-round arrival counts of dynamic-membership scenarios",
+            False,
+            "per-round arrival counts of dynamic-membership scenarios; drawn "
+            "by the shared round protocol",
         ),
         StreamSpec(
             BEHAVIOR,
             "bittorrent",
-            True,
+            False,
             "per-peer behavior assignment (one batch per population /"
-            " arrival batch) and locality-biased contact filtering",
+            " arrival batch) and locality-biased contact filtering; drawn by "
+            "the shared round protocol",
         ),
         StreamSpec(
             ROUNDS,
             "bittorrent",
-            True,
-            "per-round swarm draws: optimistic unchokes and piece tie-breaks",
+            False,
+            "per-round swarm draws: optimistic unchokes and piece tie-breaks; "
+            "drawn by the shared round protocol, which hands the generator to "
+            "the engine's plan and apply passes",
         ),
         StreamSpec(
             POPULATION,
@@ -217,39 +228,44 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             FAULT_LOSS,
             "bittorrent",
-            True,
+            False,
             "per-round Bernoulli loss draws over the planned transfer pairs "
-            "(one batch per faulty round, sorted pid-pair order)",
+            "(one batch per faulty round, sorted pid-pair order); drawn by the "
+            "shared round protocol",
         ),
         StreamSpec(
             FAULT_CRASH,
             "bittorrent",
-            True,
+            False,
             "crash-victim selection: one choice batch per scheduled crash "
-            "event, drawn over the sorted alive non-seed peers",
+            "event, over the sorted alive non-seed peers; drawn by the shared "
+            "round protocol",
         ),
         StreamSpec(
             FAULT_PARTITION,
             "bittorrent",
-            True,
+            False,
             "partition-group assignment: one integer batch per round of a "
-            "partition window, over the peers not yet assigned a side",
+            "partition window, over the peers not yet assigned a side; drawn "
+            "by the shared round protocol",
         ),
         StreamSpec(
             TRACKER_SELECT,
             "bittorrent",
-            True,
+            False,
             "preferred tracker replica per peer: one integer batch per "
             "population / arrival wave when the announce list has more than "
-            "one replica; a single-tracker policy draws nothing",
+            "one replica (a single-tracker policy draws nothing); drawn by "
+            "the shared round protocol",
         ),
         StreamSpec(
             PEX_GOSSIP,
             "bittorrent",
-            True,
+            False,
             "peer-exchange neighbor sampling: one bounded-draw batch per "
-            "round of a total outage (and per announce queued with PEX on); "
-            "a policy without PEX draws nothing",
+            "round of a total outage (and per announce queued with PEX on; "
+            "a policy without PEX draws nothing); drawn by the shared round "
+            "protocol",
         ),
     )
 }
@@ -287,7 +303,8 @@ def paired_names(domain: str) -> FrozenSet[str]:
     """Engine-paired stream names of ``domain`` (``"core"``/``"bittorrent"``).
 
     These are the streams the linter requires both trees of the domain's
-    engine pair to consume.
+    engine pair to consume; ``"bittorrent"`` has none, its one round
+    protocol drawing every swarm stream.
     """
     return frozenset(
         s.name for s in REGISTRY.values() if s.domain == domain and s.engine_paired

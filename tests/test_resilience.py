@@ -2,13 +2,15 @@
 
 Covers the pieces :mod:`repro.bittorrent.resilience` adds on top of the
 fault layer: policy parsing (presets + ``knob:value`` specs, with errors
-naming the offending token), the pinned-batch pool sampler both engines
-share, the :class:`~repro.bittorrent.resilience.ResilienceRuntime`
-bookkeeping (replica walk, failover accounting, eviction clocks, purge
-queue), and the end-to-end behaviours the ISSUE promises: a partial
-outage absorbed by failover, PEX keeping a blacked-out swarm connected,
-and dead-neighbor eviction deflating the tracker's stale scrape counts
-(``stale_count`` on both tracker implementations and telemetry views).
+naming the offending token), the pinned-batch pool sampler, the
+:class:`~repro.bittorrent.resilience.ResilienceRuntime` bookkeeping
+(replica walk, failover accounting, eviction clocks, purge queue), and
+the end-to-end behaviours the layer promises: a partial outage absorbed
+by failover, PEX keeping a blacked-out swarm connected, and dead-neighbor
+eviction deflating the tracker's stale scrape counts (``stale_count`` on
+both tracker implementations and the telemetry view).  Under churn,
+crashes and gossip, the neighbor relation stays symmetric and points only
+at present peers.
 
 Engine-equivalence of all of this lives in
 ``tests/test_swarm_engine_equivalence.py``; here each engine's behaviour
@@ -30,7 +32,7 @@ from repro.bittorrent.resilience import (
     sample_pools,
 )
 from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator
-from repro.bittorrent.telemetry import _FastSwarmView, _ReferenceSwarmView
+from repro.bittorrent.telemetry import _SwarmView
 
 # ---------------------------------------------------------------------------
 # Policy construction and parsing
@@ -339,12 +341,8 @@ class TestResilienceBehavior:
             engine=engine,
         )
         result = armed.run()
-        if engine == "reference":
-            views = (_ReferenceSwarmView(defenseless), _ReferenceSwarmView(armed))
-        else:  # unwrap the facade: the fast view reads the array engine
-            views = (_FastSwarmView(defenseless._fast), _FastSwarmView(armed._fast))
-        assert views[0].stale_count() == 4
-        assert views[1].stale_count() == 0
+        assert _SwarmView(defenseless).stale_count() == 4
+        assert _SwarmView(armed).stale_count() == 0
         assert result.resilience.evictions == 4
         assert result.resilience.purges == 4
 
@@ -366,15 +364,45 @@ class TestResilienceBehavior:
             SwarmConfig(faults="crash:3@2", **_BASE), seed=47, engine=engine
         )
         simulator.run()
-        if engine == "reference":
-            tracker = simulator.tracker
-            present = set(simulator.peers)
-        else:
-            fast = simulator._fast
-            tracker = fast.tracker
-            present = {
-                i + 1 for i in range(fast.n_total) if fast.alive[i]
-            }
-        assert tracker.stale_count(present) == 3
+        tracker = simulator.tracker
+        assert tracker.stale_count(set(simulator.peers)) == 3
         # Pretend nobody is present: every registration is now a ghost.
         assert tracker.stale_count(()) >= 3
+
+
+# The perfbench ``swarm-churn`` spec at test size: hostile behaviors, two
+# tracker outages (one total, so PEX gossips), a crash wave with rejoin,
+# 2% loss and the full resilience policy.
+_CHURN_SPEC = dict(
+    leechers=60,
+    seeds=3,
+    piece_count=40,
+    rounds=20,
+    start_completion=0.3,
+    behaviors="hostile",
+    faults="outage:3+2/all,outage:6+3/1,crash:10@4~3,loss:0.02",
+    resilience="trackers:3,pex:8,keepalive:2",
+)
+
+
+class TestAdjacencyInvariant:
+    """Every connect and disconnect keeps the neighbor relation sound."""
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("scenario", ["static", "poisson"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_neighbors_are_symmetric_and_present(self, engine, scenario, seed):
+        result = SwarmSimulator(
+            SwarmConfig(**_CHURN_SPEC), seed=seed, engine=engine, scenario=scenario
+        ).run()
+        present = {peer.peer_id: peer for peer in result.present_peers()}
+        for pid, peer in present.items():
+            assert peer.neighbors <= present.keys(), f"peer {pid} links a gone peer"
+            for other in peer.neighbors:
+                assert pid in present[other].neighbors, f"edge {pid}-{other} is one-sided"
+        assert sum(len(peer.neighbors) for peer in present.values()) > 0
+        assert result.resilience.pex_introductions > 0
+        assert result.resilience.evictions > 0
+        if scenario == "static":
+            # Every crashed peer rejoined: the whole population is present.
+            assert len(present) == 63

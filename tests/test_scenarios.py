@@ -202,14 +202,16 @@ class TestDeparturePolicy:
 
 
 class TestReferenceChurnInvariants:
-    """Membership bookkeeping of the reference engine under a live scenario."""
+    """Membership bookkeeping under a live scenario, on both engines."""
 
-    @pytest.fixture(scope="class")
-    def churned(self):
+    @pytest.fixture(scope="class", params=["reference", "fast"])
+    def churned(self, request):
         config = SwarmConfig(
             leechers=18, seeds=2, piece_count=40, rounds=20, start_completion=0.4
         )
-        simulator = SwarmSimulator(config, seed=13, scenario="seed-linger")
+        simulator = SwarmSimulator(
+            config, seed=13, scenario="seed-linger", engine=request.param
+        )
         return simulator, simulator.run()
 
     def test_departed_frozen_and_counted(self, churned):

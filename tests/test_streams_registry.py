@@ -53,19 +53,8 @@ def test_domains_and_pairing_are_consistent() -> None:
     domains = {spec.domain for spec in streams.REGISTRY.values()}
     assert domains == {"core", "bittorrent"}
     assert streams.paired_names("core") == {streams.INITIATIVES}
-    assert streams.paired_names("bittorrent") == {
-        streams.BANDWIDTH,
-        streams.BEHAVIOR,
-        streams.BOOTSTRAP,
-        streams.TRACKER,
-        streams.SCENARIO,
-        streams.ROUNDS,
-        streams.FAULT_LOSS,
-        streams.FAULT_CRASH,
-        streams.FAULT_PARTITION,
-        streams.TRACKER_SELECT,
-        streams.PEX_GOSSIP,
-    }
+    # One round protocol draws every swarm stream for both engines.
+    assert streams.paired_names("bittorrent") == frozenset()
     for spec in streams.REGISTRY.values():
         assert spec.description, f"{spec.name} needs a description"
 
@@ -90,6 +79,16 @@ def test_every_consumed_stream_is_registered(src_consumption) -> None:
         if not streams.is_registered(name)
     }
     assert not unregistered
+
+
+def test_no_swarm_stream_is_drawn_in_the_fast_tree(src_consumption) -> None:
+    """The fast swarm backend receives generators; it never fetches a stream."""
+    fast_tree = {
+        path: sorted(names)
+        for path, names in src_consumption.items()
+        if "repro/bittorrent/fast/" in path and names
+    }
+    assert not fast_tree
 
 
 def test_registry_has_no_dead_entries(src_consumption) -> None:
