@@ -82,11 +82,14 @@ class AcceptanceGraph:
                 raise ModelError(
                     f"expected degree {expected_degree} infeasible for n={n}"
                 )
-        # Sample on contiguous labels then relabel onto the population ids.
-        sampled = erdos_renyi_graph(n, float(probability), rng, first_id=0)
-        graph = UndirectedGraph(ids)
-        for u, v in sampled.edges():
-            graph.add_edge(ids[u], ids[v])
+        elif not 0.0 <= probability <= 1.0:
+            raise ModelError(f"edge probability {probability} outside [0, 1]")
+        # Contiguous ids (the paper's peers 1..n) are sampled in place; any
+        # other ids are sampled on positions 0..n-1 and then renamed.
+        contiguous = n > 0 and ids[-1] - ids[0] == n - 1
+        graph = erdos_renyi_graph(n, float(probability), rng, first_id=ids[0] if contiguous else 0)
+        if not contiguous:
+            graph.relabel(dict(enumerate(ids)))
         return cls(population, graph)
 
     # -- queries --------------------------------------------------------------

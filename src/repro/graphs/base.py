@@ -11,7 +11,7 @@ doubles as the configuration (matching) representation in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["UndirectedGraph"]
 
@@ -27,6 +27,23 @@ class UndirectedGraph:
         if vertices is not None:
             for vertex in vertices:
                 self.add_vertex(vertex)
+
+    @classmethod
+    def from_neighbor_lists(
+        cls, vertices: Iterable[int], neighbor_lists: Iterable[Iterable[int]]
+    ) -> "UndirectedGraph":
+        """Build a graph in one pass from each vertex's neighbors.
+
+        ``neighbor_lists`` yields the neighbors of each vertex of ``vertices``,
+        in the same order, and each neighbor set is filled in the order given.
+        Only the number of lists is checked: they must already be symmetric
+        and free of loops and repeats.  This is the bulk path for samplers
+        that hold the whole edge set at once; :meth:`add_edge` is the checked
+        one.
+        """
+        graph = cls()
+        graph._adjacency = dict(zip(vertices, map(set, neighbor_lists), strict=True))
+        return graph
 
     # -- vertices -----------------------------------------------------------
 
@@ -114,6 +131,22 @@ class UndirectedGraph:
         clone._adjacency = {vertex: set(neighbors) for vertex, neighbors in self._adjacency.items()}
         return clone
 
+    def relabel(self, mapping: Mapping[int, int]) -> None:
+        """Rename every vertex ``v`` to ``mapping[v]``, in place.
+
+        The new labels must be distinct.  Vertices keep their order, and each
+        neighbor set is refilled in ascending order of the old ids, so the
+        result does not depend on set iteration order.  The old sets are
+        released one by one, so the graph is never held twice.
+        """
+        old = self._adjacency
+        if len({mapping[vertex] for vertex in old}) != len(old):
+            raise ValueError("relabelling must give distinct vertices distinct labels")
+        new: Dict[int, Set[int]] = {}
+        for vertex in list(old):
+            new[mapping[vertex]] = set(map(mapping.__getitem__, sorted(old.pop(vertex))))
+        self._adjacency = new
+
     def subgraph(self, vertices: Iterable[int]) -> "UndirectedGraph":
         """The induced subgraph on the given vertices."""
         keep = set(vertices)
@@ -124,7 +157,7 @@ class UndirectedGraph:
                     sub.add_edge(u, v)
         return sub
 
-    def to_networkx(self):
+    def to_networkx(self) -> Any:
         """Convert to a :class:`networkx.Graph` (for analysis / plotting)."""
         import networkx as nx
 

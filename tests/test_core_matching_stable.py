@@ -35,6 +35,13 @@ class TestAcceptanceGraph:
                 small_population, expected_degree=2, probability=0.5, rng=rng
             )
 
+    @pytest.mark.parametrize("probability", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_erdos_renyi_bad_probability_is_a_model_error(self, n, probability, rng):
+        population = PeerPopulation.ranked(n)
+        with pytest.raises(ModelError, match=str(probability)):
+            AcceptanceGraph.erdos_renyi(population, probability=probability, rng=rng)
+
     def test_erdos_renyi_expected_degree(self, rng):
         population = PeerPopulation.ranked(300)
         acceptance = AcceptanceGraph.erdos_renyi(population, expected_degree=10, rng=rng)
