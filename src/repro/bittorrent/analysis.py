@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bittorrent.swarm import partner_ranks_by_peer
 from repro.bittorrent.telemetry import ObservedSwarm
 
 __all__ = [
@@ -222,23 +223,9 @@ def observed_stratification_index(observed: ObservedSwarm) -> float:
     # estimate is deterministic and engine-independent.
     order = sorted(rates, key=lambda pid: (-rates[pid], pid))
     rank = {pid: index + 1 for index, pid in enumerate(order)}
-    sightings = observed.partner_sightings()
-
-    own_ranks: List[float] = []
-    partner_ranks: List[float] = []
-    for pid in order:
-        total = 0.0
-        weighted = 0.0
-        for (a, b), weight in sightings.items():
-            if a == pid and b in rank:
-                weighted += weight * rank[b]
-                total += weight
-            elif b == pid and a in rank:
-                weighted += weight * rank[a]
-                total += weight
-        if total > 0:
-            own_ranks.append(float(rank[pid]))
-            partner_ranks.append(weighted / total)
+    own_ranks, partner_ranks = partner_ranks_by_peer(
+        order, rank, observed.partner_sightings()
+    )
     if len(own_ranks) < 3:
         return 0.0
     matrix = np.corrcoef(np.asarray(own_ranks), np.asarray(partner_ranks))

@@ -6,6 +6,9 @@
   (one lexsort over the received-volume edge array) plus the rng-faithful
   optimistic rotation.
 * :mod:`repro.bittorrent.fast.tracker` -- array-backed tracker announces.
+* :mod:`repro.bittorrent.fast.kernel` -- the per-transfer apply loop as
+  one C kernel, compiled once per process and drawing from numpy's own
+  bit generator.
 * :mod:`repro.bittorrent.fast.swarm` -- :class:`FastSwarmSimulator`, the
   array state backend behind ``SwarmSimulator(config, engine="fast")``.
 

@@ -10,14 +10,16 @@ as flat arrays and runs the per-round hot path on them:
   (:class:`~repro.bittorrent.fast.bitfields.BitfieldMatrix`), so interest
   tests are byte-wise ``AND``/``NOT`` over tracker edges instead of Python
   set differences;
-* piece availability is one integer vector maintained incrementally, and
-  rarest-first selection is an ``argmin``-style mask over the wanted
-  indices;
+* piece availability is one integer vector maintained incrementally;
 * the Tit-for-Tat slots of all peers are ranked in a single
   :func:`numpy.lexsort` over the received-volume edge array
   (:func:`~repro.bittorrent.fast.choking.batched_regular_slots`);
 * tracker announces are array-backed
-  (:class:`~repro.bittorrent.fast.tracker.FastTracker`).
+  (:class:`~repro.bittorrent.fast.tracker.FastTracker`);
+* the transfer loop -- wanted masks, credit, piece picks and their
+  bounded draws, bitfield and availability updates -- is one call per
+  round into a compiled C kernel (:mod:`~repro.bittorrent.fast.kernel`)
+  that draws from the rounds generator's own bit generator.
 
 Dynamic membership breaks the fixed-width assumption the arrays were born
 with, so the adjacency is two-tier: the *live adjacency* is a list of
@@ -33,10 +35,12 @@ The backend is *bit-identical* to the reference one: its plan and apply
 passes consume the rounds generator the protocol hands them draw for draw
 (same shuffles, same bounded-integer draws, in the same order), and the
 float accounting applies the same IEEE operations in the same sequence.
-``tests/test_swarm_engine_equivalence.py`` enforces the contract; the
+``tests/test_swarm_engine_equivalence.py`` enforces the contract.  The
 speedup (>= 5x at 5k leechers, gated by
-``benchmarks/bench_swarm_speedup.py``) comes purely from replacing
-per-piece Python set algebra with vectorized passes.
+``benchmarks/bench_swarm_speedup.py``) comes from two replacements of
+per-peer and per-piece Python set algebra: vectorized passes over the
+arrays in the plan, and the compiled loop over packed bitfields in the
+apply pass.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.bittorrent.fast import kernel
 from repro.bittorrent.fast.bitfields import BitfieldMatrix
 from repro.bittorrent.fast.choking import FastChokerState, batched_regular_slots
 from repro.bittorrent.fast.tracker import (
@@ -91,6 +96,7 @@ class FastSwarmSimulator(SwarmSimulator):
     def _init_state(self) -> None:
         config = self.config
         make_selector(config.piece_selection)  # validate the policy name
+        kernel.load()  # compiled once per process, before any state exists
         self.n_total = 0
         self.bitfields = BitfieldMatrix(0, config.piece_count)
         self.counts = np.zeros(config.piece_count, dtype=np.int64)
@@ -99,9 +105,9 @@ class FastSwarmSimulator(SwarmSimulator):
         self.can_download = np.zeros(0, dtype=bool)
         self.uploads: List[float] = []
         self.upload_factor: List[float] = []
-        self.reveal_limit: List[Optional[int]] = []
-        self.downloaded: List[float] = []
-        self.uploaded: List[float] = []
+        self.reveal_limit = np.zeros(0, dtype=np.int64)  # -1: no limit
+        self.downloaded = np.zeros(0, dtype=np.float64)
+        self.uploaded = np.zeros(0, dtype=np.float64)
         self.completed_round: List[Optional[int]] = []
         self.arrival_round: List[int] = []
         # The *live* adjacency over dense indices; the CSR arrays are its
@@ -115,7 +121,7 @@ class FastSwarmSimulator(SwarmSimulator):
             seed_slots=config.seed_slots,
         )
         # partial[receiver][sender] = kilobits short of the next whole piece
-        # (dense indices) -- the array mirror of SwarmPeer.partial_kbit.
+        # (peer ids) -- the mirror of SwarmPeer.partial_kbit.
         self.partial: Dict[int, Dict[int, float]] = {}
         self._last_received: Dict[int, Dict[int, float]] = {}
 
@@ -134,9 +140,10 @@ class FastSwarmSimulator(SwarmSimulator):
         )
         self.uploads.extend(uploads)
         self.upload_factor.extend(p.upload_factor for p in profiles)
-        self.reveal_limit.extend(p.reveal_limit for p in profiles)
-        self.downloaded.extend([0.0] * count)
-        self.uploaded.extend([0.0] * count)
+        limits = [-1 if p.reveal_limit is None else p.reveal_limit for p in profiles]
+        self.reveal_limit = np.concatenate([self.reveal_limit, np.array(limits, dtype=np.int64)])
+        self.downloaded = np.concatenate([self.downloaded, np.zeros(count)])
+        self.uploaded = np.concatenate([self.uploaded, np.zeros(count)])
         self.completed_round.extend([None] * count)
         self.arrival_round.extend([arrival_round] * count)
         self.neighbor_sets.extend(set() for _ in range(count))
@@ -185,7 +192,7 @@ class FastSwarmSimulator(SwarmSimulator):
         for j in self.neighbor_sets[i]:
             self.neighbor_sets[j].discard(i)
         self.neighbor_sets[i] = set()
-        self.partial.pop(i, None)
+        self.partial.pop(pid, None)
         self.chokers.drop(pid)
         self._adjacency_dirty = True
 
@@ -231,12 +238,9 @@ class FastSwarmSimulator(SwarmSimulator):
             is_seed=bool(self.is_seed[i]),
             bitfield=self.bitfields.to_bitfield(i),
             neighbors={j + 1 for j in self.neighbor_sets[i]},
-            downloaded_kbit=self.downloaded[i],
-            uploaded_kbit=self.uploaded[i],
-            partial_kbit={
-                sender + 1: credit
-                for sender, credit in self.partial.get(i, {}).items()
-            },
+            downloaded_kbit=float(self.downloaded[i]),
+            uploaded_kbit=float(self.uploaded[i]),
+            partial_kbit=dict(self.partial.get(pid, {})),
             received_last_round=dict(self._last_received.get(pid, {})),
             completed_round=self.completed_round[i],
             arrival_round=self.arrival_round[i],
@@ -365,113 +369,6 @@ class FastSwarmSimulator(SwarmSimulator):
                 transfers.append((i + 1, target, share))
         return transfers, regular_pairs
 
-    def _acquire_pieces(
-        self,
-        receiver: int,
-        wanted_idx: np.ndarray,
-        credit: float,
-        rng: np.random.Generator,
-        reveal_limit: Optional[int] = None,
-    ) -> Tuple[float, int]:
-        """Convert ``credit`` kilobits into pieces; returns (credit, gained).
-
-        The reference loop re-picks from the live wanted set each piece,
-        but within one transfer the availability of the *remaining* wanted
-        pieces never changes (only the chosen piece's count moves, and it
-        leaves the set).  Rarest-first therefore pre-sorts the wanted
-        pieces into rarity tiers once and consumes them tier by tier.
-
-        The random draws batch: the sequence of pick bounds (tier size,
-        tier size - 1, ...) is fully determined *before* any pick, and
-        ``Generator.integers(0, bounds_array)`` consumes the bit stream
-        element for element exactly like the equivalent sequence of scalar
-        ``integers(0, bound)`` calls (Lemire bounded generation either
-        way).  One vectorized draw therefore replaces the per-piece Python
-        RNG calls while staying draw-for-draw identical to the reference
-        selectors -- the equivalence suite holds bit-for-bit.
-        """
-        piece_size = self.config.piece_size_kbit
-        policy = self.config.piece_selection
-        taken: List[int] = []
-        total = wanted_idx.shape[0]
-
-        # The pick count replays the reference control flow exactly --
-        # subtract-while-credit-covers-a-piece -- because repeated float
-        # subtraction is not generally the same as one floor division.
-        # ``remaining`` is the credit after those subtractions, i.e. the
-        # exact float the reference loop would leave behind.  A sender's
-        # reveal_limit (super-seeding) caps the subtraction count too, so
-        # the leftover credit matches the reference's capped loop.
-        remaining = credit
-        max_picks = 0
-        while (
-            remaining >= piece_size
-            and max_picks < total
-            and (reveal_limit is None or max_picks < reveal_limit)
-        ):
-            remaining -= piece_size
-            max_picks += 1
-        if max_picks == 0:
-            return credit, 0
-
-        if policy == "rarest-first":
-            avail = self.counts.take(wanted_idx)
-            # ``wanted_idx`` is ascending, so a stable sort on availability
-            # alone equals the reference lexsort((piece, avail)) ordering.
-            order = np.argsort(avail, kind="stable")
-            queue = wanted_idx.take(order)
-            levels = avail.take(order)
-            cuts = (levels[1:] != levels[:-1]).nonzero()[0]
-            starts = [0] + (cuts + 1).tolist()
-            ends = starts[1:] + [total]
-            bounds: List[int] = []
-            plan: List[Tuple[int, int, int]] = []  # (start, end, picks)
-            picks_left = max_picks
-            for tier_start, tier_end in zip(starts, ends):
-                size = tier_end - tier_start
-                take = size if size < picks_left else picks_left
-                plan.append((tier_start, tier_end, take))
-                bounds.extend(range(size, size - take, -1))
-                picks_left -= take
-                if picks_left == 0:
-                    break
-            if len(bounds) == 1:
-                draws = [rng.integers(0, bounds[0])]
-            else:
-                draws = rng.integers(0, np.asarray(bounds, dtype=np.int64)).tolist()
-            cursor = 0
-            for tier_start, tier_end, take in plan:
-                tier = queue[tier_start:tier_end].tolist()
-                for _ in range(take):
-                    taken.append(tier.pop(draws[cursor]))
-                    cursor += 1
-        elif policy == "random":
-            if max_picks == 1:
-                draws = [rng.integers(0, total)]
-            else:
-                draws = rng.integers(
-                    0, np.arange(total, total - max_picks, -1, dtype=np.int64)
-                ).tolist()
-            pool = wanted_idx.tolist()
-            for draw in draws:
-                taken.append(pool.pop(draw))
-        else:  # sequential: lowest index first, no randomness
-            taken = wanted_idx[:max_picks].tolist()
-
-        credit = remaining
-        gained = len(taken)
-        if gained:
-            # The loop above never re-reads bitfield or availability state
-            # (tiers are fixed per transfer), so the mutations batch.
-            idx = np.asarray(taken, dtype=np.int64)
-            packed_row = self.bitfields.packed[receiver]
-            np.bitwise_or.at(
-                packed_row, idx >> 3, (0x80 >> (idx & 7)).astype(np.uint8)
-            )
-            self.counts[idx] += 1
-            self.bitfields.have_count[receiver] += gained
-        return credit, gained
-
     def _apply_round(
         self,
         transfers: List[Transfer],
@@ -479,59 +376,54 @@ class FastSwarmSimulator(SwarmSimulator):
         rng: np.random.Generator,
         round_index: int,
     ) -> List[int]:
-        config = self.config
-        piece_size = config.piece_size_kbit
-        piece_count = config.piece_count
-        bitfields = self.bitfields
-        have = bitfields.have_count
-        partial = self.partial
-        uploaded = self.uploaded
-        downloaded = self.downloaded
+        """Run the round's transfers through the C kernel, then the dictionaries.
+
+        The kernel owns the per-transfer loop over the array state.  From
+        its per-transfer flags and credits, the dictionaries are updated
+        here in transfer order, because their insertion order is part of
+        the result.  Each (sender, receiver) pair occurs at most once per
+        round, so every credit can be gathered before the call.
+        """
         received_now: Dict[int, Dict[int, float]] = {}
         newly_completed: List[int] = []
-
-        for sender_pid, receiver_pid, volume_kbit in transfers:
-            sender = sender_pid - 1
-            receiver = receiver_pid - 1
-            if have[receiver] == piece_count:
-                continue  # a complete receiver wants nothing
-            # A complete sender always has something an incomplete receiver
-            # misses, so the byte-mask test (and its allocation) is only
-            # needed for partially-complete senders.
-            if have[sender] == piece_count:
-                wanted_bytes = None
-            else:
-                wanted_bytes = bitfields.wanted_bytes(sender, receiver)
-                if not wanted_bytes.any():
-                    continue
-            uploaded[sender] += volume_kbit
-            downloaded[receiver] += volume_kbit
-            by_sender = received_now.setdefault(receiver_pid, {})
-            by_sender[sender_pid] = by_sender.get(sender_pid, 0.0) + volume_kbit
-            key = (
-                (sender_pid, receiver_pid)
-                if sender < receiver
-                else (receiver_pid, sender_pid)
+        if transfers:
+            partial = self.partial
+            no_credit: Dict[int, float] = {}
+            credit = np.array(
+                [
+                    partial.get(receiver, no_credit).get(sender, 0.0)
+                    for sender, receiver, _ in transfers
+                ]
             )
-            collaboration[key] = collaboration.get(key, 0.0) + volume_kbit
-
-            partial_r = partial.setdefault(receiver, {})
-            credit = partial_r.get(sender, 0.0) + volume_kbit
-            if credit >= piece_size:
-                if wanted_bytes is None:
-                    wanted_bytes = bitfields.wanted_bytes(sender, receiver)
-                wanted_idx = bitfields.indices(wanted_bytes)
-                credit, gained = self._acquire_pieces(
-                    receiver, wanted_idx, credit, rng, self.reveal_limit[sender]
-                )
-                if (
-                    gained
-                    and have[receiver] == piece_count
-                    and self.completed_round[receiver] is None
-                ):
-                    self.completed_round[receiver] = round_index
-                    newly_completed.append(receiver_pid)
-            partial_r[sender] = credit
+            senders, receivers, volumes = zip(*transfers)
+            applied, completed = kernel.apply_transfers(
+                rng,
+                self.config.piece_selection,
+                self.config.piece_size_kbit,
+                self.bitfields,
+                self.counts,
+                self.uploaded,
+                self.downloaded,
+                self.reveal_limit,
+                np.array(senders, dtype=np.int64) - 1,
+                np.array(receivers, dtype=np.int64) - 1,
+                np.array(volumes, dtype=np.float64),
+                credit,
+            )
+            credits = credit.tolist()
+            for t in np.flatnonzero(applied).tolist():
+                sender, receiver, volume_kbit = transfers[t]
+                by_sender = received_now.setdefault(receiver, {})
+                by_sender[sender] = by_sender.get(sender, 0.0) + volume_kbit
+                key = (sender, receiver) if sender < receiver else (receiver, sender)
+                collaboration[key] = collaboration.get(key, 0.0) + volume_kbit
+                partial.setdefault(receiver, {})[sender] = credits[t]
+            completed_round = self.completed_round
+            for t in np.flatnonzero(completed).tolist():
+                receiver = transfers[t][1]
+                if completed_round[receiver - 1] is None:
+                    completed_round[receiver - 1] = round_index
+                    newly_completed.append(receiver)
 
         self._last_received = received_now
         self._project_received()

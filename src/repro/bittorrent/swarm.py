@@ -46,6 +46,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -96,6 +97,7 @@ __all__ = [
     "SwarmResult",
     "SwarmSimulator",
     "ReferenceSwarmSimulator",
+    "partner_ranks_by_peer",
     "stratification_index",
 ]
 
@@ -476,7 +478,8 @@ class SwarmSimulator:
             + [float(config.seed_upload_kbps)] * config.seeds,
             behaviors + [mix.seed_behavior] * config.seeds,
             groups,
-            int(round(config.start_completion * config.piece_count)),
+            # Clamped like arrivals and behavior holds: never born complete.
+            min(int(round(config.start_completion * config.piece_count)), config.piece_count - 1),
             arrival_round=0,
             seeds=config.seeds,
         )
@@ -1162,6 +1165,39 @@ class ReferenceSwarmSimulator(SwarmSimulator):
         return newly_completed
 
 
+def partner_ranks_by_peer(
+    peers: Sequence[int],
+    rank: Mapping[int, int],
+    weights: Mapping[Tuple[int, int], float],
+) -> Tuple[List[float], List[float]]:
+    """Each ranked peer's own rank beside its weight-averaged partner rank.
+
+    ``peers`` (all of them ranked) fixes the output order.  A pair counts
+    only when both its peers are ranked, and a peer without weight is left
+    out.  One pass over ``weights`` in dict order adds each pair to both
+    endpoints, so every peer's sums take the same float additions in the
+    same order as a scan of all pairs per peer, in O(pairs) instead of
+    O(peers x pairs).
+    """
+    weighted: Dict[int, float] = {}
+    total: Dict[int, float] = {}
+    for (a, b), weight in weights.items():
+        if a not in rank or b not in rank:
+            continue
+        weighted[a] = weighted.get(a, 0.0) + weight * rank[b]
+        total[a] = total.get(a, 0.0) + weight
+        if b != a:
+            weighted[b] = weighted.get(b, 0.0) + weight * rank[a]
+            total[b] = total.get(b, 0.0) + weight
+    own_ranks: List[float] = []
+    partner_ranks: List[float] = []
+    for peer in peers:
+        if total.get(peer, 0.0) > 0:
+            own_ranks.append(float(rank[peer]))
+            partner_ranks.append(weighted[peer] / total[peer])
+    return own_ranks, partner_ranks
+
+
 def stratification_index(
     result: SwarmResult,
     *,
@@ -1202,22 +1238,9 @@ def stratification_index(
     weights = (
         result.tft_reciprocal_rounds if use_tft_pairs else result.collaboration_volume
     )
-
-    own_ranks: List[float] = []
-    partner_ranks: List[float] = []
-    for peer in leechers:
-        total = 0.0
-        weighted = 0.0
-        for (a, b), weight in weights.items():
-            if a == peer.peer_id and b in rank:
-                weighted += weight * rank[b]
-                total += weight
-            elif b == peer.peer_id and a in rank:
-                weighted += weight * rank[a]
-                total += weight
-        if total > 0:
-            own_ranks.append(float(rank[peer.peer_id]))
-            partner_ranks.append(weighted / total)
+    own_ranks, partner_ranks = partner_ranks_by_peer(
+        [peer.peer_id for peer in leechers], rank, weights
+    )
     if len(own_ranks) < 3:
         return 0.0
     matrix = np.corrcoef(np.asarray(own_ranks), np.asarray(partner_ranks))

@@ -198,6 +198,22 @@ class TestSwarmSimulator:
         with pytest.raises(ValueError):
             SwarmSimulator(config, bandwidths=[100.0] * 3)
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_initial_leechers_are_never_born_complete(self, engine):
+        # 0.98 * 20 rounds to 20 pieces: unclamped, every leecher would start
+        # complete, without a completion round, and the run would move nothing.
+        config = SwarmConfig(
+            leechers=8, seeds=1, piece_count=20, rounds=5, start_completion=0.98
+        )
+        simulator = SwarmSimulator(config, seed=3, engine=engine)
+        assert all(
+            len(peer.bitfield) == 19 for peer in simulator.peers.values() if not peer.is_seed
+        )
+        result = simulator.run()
+        assert result.completed == 8
+        assert [peer.completed_round for peer in result.leechers()] == [1] * 8
+        assert sum(peer.downloaded_kbit for peer in result.leechers()) > 0
+
     def test_seedless_swarm_with_bootstrap_still_progresses(self):
         config = SwarmConfig(
             leechers=10, seeds=0, piece_count=50, rounds=30, start_completion=0.5

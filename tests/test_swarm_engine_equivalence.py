@@ -59,13 +59,26 @@ _settings = settings(
 )
 
 
+def _all_floats(values) -> bool:
+    """Every value is a Python ``float`` (an ``np.float64`` would pass ``==``)."""
+    return all(type(value) is float for value in values)
+
+
 def assert_results_identical(reference: SwarmResult, fast: SwarmResult) -> None:
-    """Field-for-field, float-for-float equality of two swarm results."""
+    """Field-for-field, float-for-float equality of two swarm results.
+
+    Dicts are compared as item lists too, since their insertion order is
+    part of the result, and the fast result's floats must be ``float``.
+    """
     assert reference.completed == fast.completed
     assert reference.rounds_run == fast.rounds_run
     assert reference.arrivals == fast.arrivals
     assert reference.departures == fast.departures
     assert reference.collaboration_volume == fast.collaboration_volume
+    assert list(reference.collaboration_volume.items()) == list(
+        fast.collaboration_volume.items()
+    )
+    assert _all_floats(fast.collaboration_volume.values())
     assert reference.tft_reciprocal_rounds == fast.tft_reciprocal_rounds
     assert reference.resilience == fast.resilience
     assert set(reference.peers) == set(fast.peers)
@@ -78,8 +91,13 @@ def assert_results_identical(reference: SwarmResult, fast: SwarmResult) -> None:
         assert a.bitfield.held() == b.bitfield.held()
         assert a.downloaded_kbit == b.downloaded_kbit
         assert a.uploaded_kbit == b.uploaded_kbit
+        assert _all_floats([b.downloaded_kbit, b.uploaded_kbit])
         assert a.partial_kbit == b.partial_kbit
+        assert list(a.partial_kbit.items()) == list(b.partial_kbit.items())
+        assert _all_floats(b.partial_kbit.values())
         assert a.received_last_round == b.received_last_round
+        assert list(a.received_last_round.items()) == list(b.received_last_round.items())
+        assert _all_floats(b.received_last_round.values())
         assert a.completed_round == b.completed_round
         assert a.arrival_round == b.arrival_round
         assert a.departed_round == b.departed_round
@@ -130,6 +148,22 @@ class TestEngineEquivalence:
             start_completion=0.2,
         )
         run_both(config, seed=13)
+
+    def test_piece_size_that_is_not_a_power_of_two(self):
+        # With a 256-kbit piece, subtracting one piece at a time and one
+        # floor division leave the same credit; with 100.1 they differ in
+        # the leftover and sometimes in the piece count, so only a size
+        # like this pins the fast engine to the reference's float order.
+        config = SwarmConfig(
+            leechers=15,
+            seeds=1,
+            piece_count=40,
+            rounds=20,
+            piece_size_kbit=100.1,
+            start_completion=0.2,
+        )
+        reference, _ = run_both(config, seed=13)
+        assert reference.completed > 0
 
     def test_seedless_swarm(self):
         config = SwarmConfig(
