@@ -36,12 +36,14 @@ def rotate_optimistic(
 ) -> List[int]:
     """One optimistic-unchoke rotation step for ``peer_id``.
 
-    Shared by :class:`TitForTatChoker` and the fast engine's
-    :class:`~repro.bittorrent.fast.choking.FastChokerState` so the two can
-    never drift: bit-identity across engines requires the exact same
-    random-stream consumption (one shuffle of the same candidate list).
-    State lives in the caller-owned ``optimistic_state`` / ``age_state``
-    dictionaries, keyed by peer id.
+    The peers still in ``pool`` stay unchoked until ``period`` rounds
+    have passed.  A slot left empty is refilled from one shuffle of the
+    other candidates, and at the period every slot is redrawn from that
+    shuffle, so the old peers make way.  State
+    lives in the caller-owned ``optimistic_state`` / ``age_state``
+    dictionaries, keyed by peer id.  The fast engine's compiled rechoke
+    (:func:`repro.bittorrent.fast.kernel.leecher_unchoke`) replays these
+    decisions and draws, held to them by the engine equivalence suite.
     """
     if slots == 0 or not pool:
         optimistic_state[peer_id] = []

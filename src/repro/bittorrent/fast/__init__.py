@@ -3,12 +3,12 @@
 * :mod:`repro.bittorrent.fast.bitfields` -- packed-bit bitfield matrix for
   the whole swarm (interest tests as byte-wise boolean algebra).
 * :mod:`repro.bittorrent.fast.choking` -- batched Tit-for-Tat rechoke
-  (one lexsort over the received-volume edge array) plus the rng-faithful
-  optimistic rotation.
+  (one lexsort over the received-volume edge array) plus the optimistic
+  rotation state as arrays.
 * :mod:`repro.bittorrent.fast.tracker` -- array-backed tracker announces.
-* :mod:`repro.bittorrent.fast.kernel` -- the per-transfer apply loop as
-  one C kernel, compiled once per process and drawing from numpy's own
-  bit generator.
+* :mod:`repro.bittorrent.fast.kernel` -- the rechoke of a run of leechers
+  and the per-transfer apply loop as one C kernel, compiled once per
+  process and drawing from numpy's own bit generator.
 * :mod:`repro.bittorrent.fast.swarm` -- :class:`FastSwarmSimulator`, the
   array state backend behind ``SwarmSimulator(config, engine="fast")``.
 

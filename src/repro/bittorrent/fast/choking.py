@@ -7,22 +7,25 @@ in p" edges are ranked with a single :func:`numpy.lexsort` by
 :class:`~repro.bittorrent.choking.TitForTatChoker` ordering -- and each
 peer takes the head of its segment.
 
-The *optimistic* rotation cannot be batched without changing semantics:
-it consumes the shared random stream one ``shuffle`` per peer, in peer-id
-order, and bit-identity with the reference engine requires replaying those
-draws exactly.  :class:`FastChokerState` therefore mirrors the reference
-rotation logic (state keyed by peer id, same candidate lists in the same
-order) while receiving its regular slots pre-computed from the batched
-pass.  Equivalence is enforced by ``tests/test_swarm_engine_equivalence.py``.
+The rest of a leecher's rechoke -- the optimistic rotation and the
+spare-slot fill -- consumes the shared random stream one shuffle at a
+time, in peer-row order, and depends on per-peer rotation state.
+:class:`FastChokerState` keeps that state as arrays and hands a whole run
+of consecutive leechers to the compiled kernel
+(:func:`repro.bittorrent.fast.kernel.leecher_unchoke`), which replays
+numpy's shuffle draws and the reference's decisions owner by owner.  The
+seed policy is the reference's own :func:`~repro.bittorrent.choking.seed_unchoke`.
+Equivalence is enforced by ``tests/test_swarm_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.bittorrent.choking import rotate_optimistic, seed_unchoke
+from repro.bittorrent.choking import seed_unchoke
+from repro.bittorrent.fast import kernel
 
 __all__ = ["batched_regular_slots", "FastChokerState"]
 
@@ -33,7 +36,7 @@ def batched_regular_slots(
     received_edge: np.ndarray,
     interested_edge: np.ndarray,
     regular_slots: int,
-) -> Dict[int, List[int]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per-peer Tit-for-Tat slots from last round's received volumes.
 
     Parameters
@@ -52,38 +55,36 @@ def batched_regular_slots(
 
     Returns
     -------
-    Mapping of dense peer index to its regular-slot partner ids, best
-    contributor first, ties broken by ascending id -- byte-for-byte the
-    ordering of ``TitForTatChoker.select_unchoked``.
+    ``(peers, partner_ids)``: one entry per granted slot, peers ascending
+    and each peer's partners best contributor first, ties broken by
+    ascending id -- byte-for-byte the ordering of
+    ``TitForTatChoker.select_unchoked``.
     """
-    regular: Dict[int, List[int]] = {}
-    if regular_slots <= 0:
-        return regular
     eligible = np.flatnonzero(interested_edge & (received_edge > 0.0))
-    if eligible.size == 0:
-        return regular
+    if regular_slots <= 0 or eligible.size == 0:
+        return edge_peer[:0], edge_partner_id[:0]
     order = np.lexsort(
         (edge_partner_id[eligible], -received_edge[eligible], edge_peer[eligible])
     )
     ranked = eligible[order]
     peers = edge_peer[ranked]
-    partners = edge_partner_id[ranked]
-    boundaries = np.flatnonzero(np.r_[True, peers[1:] != peers[:-1]])
-    ends = np.r_[boundaries[1:], peers.size]
-    for start, end in zip(boundaries, ends):
-        take = min(regular_slots, end - start)
-        regular[int(peers[start])] = [int(q) for q in partners[start:start + take]]
-    return regular
+    position = np.arange(peers.size)
+    # Each entry's rank inside its peer's segment: position minus segment start.
+    start = np.maximum.accumulate(
+        np.where(np.r_[True, peers[1:] != peers[:-1]], position, 0)
+    )
+    head = ranked[position - start < regular_slots]
+    return edge_peer[head], edge_partner_id[head]
 
 
 class FastChokerState:
-    """Optimistic-unchoke state for all leechers (and the seed policy).
+    """Optimistic-unchoke state for all leechers, and the seed policy.
 
-    Shares :func:`repro.bittorrent.choking.rotate_optimistic` /
-    :func:`~repro.bittorrent.choking.seed_unchoke` with the reference
-    chokers, so the random-stream consumption cannot drift between
-    engines; only the state layout differs (one dictionary for the whole
-    swarm instead of one choker object per peer).
+    Row ``i`` of :attr:`optimistic` holds leecher ``i``'s optimistic peers
+    (ids, in rotation order, -1 where empty) and ``age[i]`` the rounds
+    since they were drawn -- the per-peer state of
+    :func:`repro.bittorrent.choking.rotate_optimistic`, one row per dense
+    peer index instead of one dictionary entry per peer id.
     """
 
     def __init__(
@@ -105,25 +106,48 @@ class FastChokerState:
         self.optimistic_slots = optimistic_slots
         self.optimistic_period = optimistic_period
         self.seed_slots = seed_slots
-        self._optimistic: Dict[int, List[int]] = {}
-        self._age: Dict[int, int] = {}
+        self.optimistic = np.full((0, optimistic_slots), -1, dtype=np.int64)
+        self.age = np.zeros(0, dtype=np.int64)
+
+    def add_rows(self, count: int) -> None:
+        """Append ``count`` fresh rows: no optimistic peer, age 0."""
+        self.optimistic = np.concatenate(
+            [self.optimistic, np.full((count, self.optimistic_slots), -1, dtype=np.int64)]
+        )
+        self.age = np.concatenate([self.age, np.zeros(count, dtype=np.int64)])
 
     def leecher_unchoke(
         self,
-        peer_id: int,
-        interested: List[int],
-        regular: List[int],
         rng: np.random.Generator,
-    ) -> Tuple[List[int], List[int]]:
-        """One leecher rechoke; ``regular`` comes from the batched pass."""
-        remaining = [q for q in interested if q not in regular]
-        optimistic = self._rotate_optimistic(peer_id, remaining, rng)
-        spare = self.regular_slots - len(regular)
-        if spare > 0:
-            extra_pool = [q for q in remaining if q not in optimistic]
-            rng.shuffle(extra_pool)
-            optimistic = optimistic + extra_pool[:spare]
-        return regular, optimistic
+        owners: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        partners: np.ndarray,
+        regular_owner: np.ndarray,
+        regular_partner: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rechoke a run of leechers in one kernel call.
+
+        Owner ``o`` is row ``owners[o]``, interested in
+        ``partners[lo[o]:hi[o]]``; the regular slots are
+        :func:`batched_regular_slots`' arrays.  Returns (owner rows, target
+        ids, regular flags), each owner's regular targets first, then its
+        optimistic and spare ones; see
+        :func:`repro.bittorrent.fast.kernel.leecher_unchoke`.
+        """
+        return kernel.leecher_unchoke(
+            rng,
+            self.regular_slots,
+            self.optimistic_period,
+            owners,
+            lo,
+            hi,
+            partners,
+            regular_owner,
+            regular_partner,
+            self.optimistic,
+            self.age,
+        )
 
     def seed_unchoke(
         self, interested: List[int], rng: np.random.Generator
@@ -131,24 +155,11 @@ class FastChokerState:
         """The seed policy, via the shared reference implementation."""
         return seed_unchoke(interested, self.seed_slots, rng)
 
-    def drop(self, peer_id: int) -> None:
-        """Discard a departed peer's rotation state.
+    def drop(self, row: int) -> None:
+        """Reset a departed or crashed peer's rotation state.
 
-        Mirrors the reference simulator deleting the peer's choker object;
-        ids are never reused, so this is memory hygiene, not semantics.
+        Mirrors the reference simulator deleting the peer's choker object:
+        a crashed peer that rejoins starts with a fresh rotation.
         """
-        self._optimistic.pop(peer_id, None)
-        self._age.pop(peer_id, None)
-
-    def _rotate_optimistic(
-        self, peer_id: int, pool: List[int], rng: np.random.Generator
-    ) -> List[int]:
-        return rotate_optimistic(
-            self._optimistic,
-            self._age,
-            peer_id,
-            pool,
-            rng,
-            self.optimistic_slots,
-            self.optimistic_period,
-        )
+        self.optimistic[row] = -1
+        self.age[row] = 0

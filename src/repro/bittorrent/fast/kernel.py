@@ -1,4 +1,13 @@
-"""The fast swarm's per-transfer loop, compiled: one C kernel per round.
+"""The fast swarm's rechoke and transfer loop, compiled into one C kernel.
+
+:func:`leecher_unchoke` makes the unchoke decisions of a run of
+consecutive leechers in one call, owner by owner in row order: the
+regular Tit-for-Tat slots as ranked by
+:func:`~repro.bittorrent.fast.choking.batched_regular_slots`, the
+optimistic rotation with its per-peer age, and the spare-slot fill, as
+:class:`~repro.bittorrent.choking.TitForTatChoker` decides them.  Each
+owner's shuffles depend on its own rotation state, and they share one
+random stream in row order, so this stays a loop, just not a Python one.
 
 :func:`apply_transfers` runs a round's planned transfers in plan order,
 each one as the reference backend does: the complete-receiver skip and
@@ -7,7 +16,7 @@ credit into pieces under all three piece policies, and the bitfield,
 availability and ``have_count`` updates.  Transfers within a round are
 sequentially dependent -- a piece from one sender changes what the
 receiver wants from the next, and moves the availability that
-rarest-first sorts by -- so the loop stays a loop, just not a Python one.
+rarest-first sorts by -- so this loop stays a loop too.
 
 The C source is the :data:`SOURCE` constant of this module, so
 :func:`repro.sim.parallel.source_fingerprint` (which hashes ``*.py``)
@@ -22,19 +31,24 @@ Bit-identity with the reference backend rests on two rules
 (``docs/determinism.md``):
 
 * **Draws.**  The kernel draws on the rounds generator's own ``bitgen_t``
-  exactly as numpy's ``random_bounded_uint64`` does below 2**32 (Lemire
-  2019, https://arxiv.org/abs/1805.10941): a bound of 1 draws nothing,
-  any other bound runs Lemire's rejection method on ``next_uint32``, which
-  spends a buffered 32-bit half first.  Each draw equals
-  ``Generator.integers(0, bound)`` and leaves the same generator state;
-  :func:`bounded_draws` exposes the draw alone so tests can hold it to
-  that.  The call holds ``rng.bit_generator.lock``, as
-  ``Generator.integers`` does, because :mod:`ctypes` releases the GIL.
+  exactly as numpy does.  A bounded draw is numpy's
+  ``random_bounded_uint64`` below 2**32 (Lemire 2019,
+  https://arxiv.org/abs/1805.10941): a bound of 1 draws nothing, any
+  other bound runs Lemire's rejection method on ``next_uint32``, which
+  spends a buffered 32-bit half first; it equals
+  ``Generator.integers(0, bound)``.  A shuffle is numpy's untyped
+  ``Generator.shuffle(list)``: Fisher-Yates from the last element down,
+  each index drawn by ``random_interval`` (masked rejection on
+  ``next_uint32``); a list of length 0 or 1 draws nothing.  Both leave
+  the generator in numpy's state, and :func:`bounded_draws` and
+  :func:`shuffled` expose them alone so tests can hold them to that.
+  Every call holds ``rng.bit_generator.lock``, as numpy does, because
+  :mod:`ctypes` releases the GIL.
 * **Floats.**  The kernel performs the reference's IEEE additions and
   subtractions in the reference's order -- ``credit = partial + volume``,
   then subtract a piece while the credit covers one -- and is compiled
   with ``-ffp-contract=off`` (nothing is fused into an FMA) and never
-  with ``-ffast-math``.
+  with ``-ffast-math``.  The rechoke does no float arithmetic.
 """
 
 from __future__ import annotations
@@ -45,13 +59,21 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bittorrent.fast.bitfields import BitfieldMatrix
 
-__all__ = ["SOURCE", "KernelBuildError", "load", "apply_transfers", "bounded_draws"]
+__all__ = [
+    "SOURCE",
+    "KernelBuildError",
+    "load",
+    "leecher_unchoke",
+    "apply_transfers",
+    "bounded_draws",
+    "shuffled",
+]
 
 SOURCE = r"""
 #include <stdint.h>
@@ -97,6 +119,141 @@ void bounded_draws(bitgen_t *bitgen, int64_t n, const int64_t *bounds, int64_t *
 {
     for (int64_t k = 0; k < n; k++)
         out[k] = bounded(bitgen, bounds[k]);
+}
+
+/* numpy's random_interval for 1 <= max < 2**32: the smallest all-ones
+   mask >= max, then next_uint32() & mask until the value is <= max. */
+static int64_t interval(bitgen_t *bitgen, uint32_t max)
+{
+    uint32_t mask = max, value;
+
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    while ((value = bitgen->next_uint32(bitgen->state) & mask) > max)
+        ;
+    return value;
+}
+
+/* Generator.shuffle(list) on x[0:n], n < 2**32: numpy's untyped
+   Fisher-Yates; lengths 0 and 1 draw nothing. */
+static void shuffle(bitgen_t *bitgen, int64_t *x, int64_t n)
+{
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = interval(bitgen, (uint32_t)i), held = x[i];
+        x[i] = x[j];
+        x[j] = held;
+    }
+}
+
+void shuffle_values(bitgen_t *bitgen, int64_t n, int64_t *x)
+{
+    shuffle(bitgen, x, n);
+}
+
+/* Is q one of x[0:n]? */
+static int has(const int64_t *x, int64_t n, int64_t q)
+{
+    for (int64_t k = 0; k < n; k++)
+        if (x[k] == q)
+            return 1;
+    return 0;
+}
+
+/* out = the entries of x[0:n] that are not in skip[0:n_skip], in order;
+   returns how many. */
+static int64_t without(const int64_t *x, int64_t n, const int64_t *skip, int64_t n_skip,
+                       int64_t *out)
+{
+    int64_t size = 0;
+
+    for (int64_t k = 0; k < n; k++)
+        if (!has(skip, n_skip, x[k]))
+            out[size++] = x[k];
+    return size;
+}
+
+/* The rechoke of a run of leechers, owner by owner: owner o (row owner[o])
+   is interested in partner[lo[o]:hi[o]] (ascending ids), and its regular
+   slots are the regular_partner entries whose regular_owner is its row
+   (rows ascending, best first).  Its optimistic peers are the row of
+   `optimistic` (ids, -1 where empty) with their age in age[row].  Writes
+   each unchoke as (owner row, target id, regular flag) -- regular, then
+   optimistic, then spare -- and returns how many, or -1 before an owner
+   whose unchokes could overflow `capacity`.  scratch holds twice the
+   widest segment. */
+int64_t leecher_unchoke(
+    bitgen_t *bitgen, int64_t regular_slots, int64_t optimistic_slots, int64_t period,
+    int64_t n_owners, const int64_t *owner, const int64_t *lo, const int64_t *hi,
+    const int64_t *partner, int64_t n_regular, const int64_t *regular_owner,
+    const int64_t *regular_partner, int64_t *optimistic, int64_t *age,
+    int64_t capacity, int64_t *out_owner, int64_t *out_target, uint8_t *out_regular,
+    int64_t *scratch)
+{
+    int64_t r = 0, count = 0;
+
+    for (int64_t o = 0; o < n_owners; o++) {
+        int64_t i = owner[o], first, n_reg, n_rem, n_cur = 0, n_pool, grown, k;
+        int64_t *remaining = scratch, *pool = scratch + (hi[o] - lo[o]);
+        int64_t *current = optimistic + i * optimistic_slots;
+
+        while (r < n_regular && regular_owner[r] < i)
+            r++;
+        for (first = r; r < n_regular && regular_owner[r] == i; r++)
+            ;
+        n_reg = r - first;
+        n_rem = without(partner + lo[o], hi[o] - lo[o], regular_partner + first, n_reg,
+                        remaining);
+        /* current and the spare pool are disjoint parts of remaining */
+        if (count + n_reg + n_rem > capacity)
+            return -1;
+        for (k = first; k < r; k++, count++) {
+            out_owner[count] = i;
+            out_target[count] = regular_partner[k];
+            out_regular[count] = 1;
+        }
+
+        /* choking.rotate_optimistic; zero slots leave the state alone */
+        if (optimistic_slots > 0 && n_rem == 0) {
+            for (k = 0; k < optimistic_slots; k++)
+                current[k] = -1;        /* an empty pool clears; the age stays */
+        } else if (optimistic_slots > 0) {
+            grown = age[i] + 1;
+            for (k = 0; k < optimistic_slots; k++)
+                if (current[k] >= 0 && has(remaining, n_rem, current[k]))
+                    current[n_cur++] = current[k];
+            if (n_cur < optimistic_slots || grown >= period) {
+                n_pool = without(remaining, n_rem, current, n_cur, pool);
+                shuffle(bitgen, pool, n_pool);
+                if (grown >= period)
+                    n_cur = grown = 0;
+                for (k = 0; k < n_pool && n_cur < optimistic_slots; k++)
+                    current[n_cur++] = pool[k];
+            }
+            for (k = n_cur; k < optimistic_slots; k++)
+                current[k] = -1;
+            age[i] = grown;
+        }
+        for (k = 0; k < n_cur; k++, count++) {
+            out_owner[count] = i;
+            out_target[count] = current[k];
+            out_regular[count] = 0;
+        }
+
+        /* unused regular slots go to the rest of remaining, shuffled */
+        if (regular_slots > n_reg) {
+            n_pool = without(remaining, n_rem, current, n_cur, pool);
+            shuffle(bitgen, pool, n_pool);
+            for (k = 0; k < n_pool && k < regular_slots - n_reg; k++, count++) {
+                out_owner[count] = i;
+                out_target[count] = pool[k];
+                out_regular[count] = 0;
+            }
+        }
+    }
+    return count;
 }
 
 /* Python's pool.pop(at) on pool[0:size]. */
@@ -210,16 +367,31 @@ _POLICIES = {"rarest-first": 0, "random": 1, "sequential": 2}
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-# Argument types, one row per line of each C prototype above.
-_SIGNATURES = {
-    "bounded_draws": (ctypes.c_void_p, ctypes.c_int64, _I64, _I64),
+# Return and argument types, one row per line of each C prototype above.
+_SIGNATURES: Dict[str, Tuple[Any, Tuple[Any, ...]]] = {
+    "bounded_draws": (None, (ctypes.c_void_p, ctypes.c_int64, _I64, _I64)),
+    "shuffle_values": (None, (ctypes.c_void_p, ctypes.c_int64, _I64)),
+    "leecher_unchoke": (
+        ctypes.c_int64,
+        (
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, _I64, _I64, _I64,
+            _I64, ctypes.c_int64, _I64,
+            _I64, _I64, _I64,
+            ctypes.c_int64, _I64, _I64, _U8,
+            _I64,
+        ),
+    ),
     "apply_transfers": (
-        ctypes.c_void_p, ctypes.c_int32, ctypes.c_double, ctypes.c_int64,
-        ctypes.c_int64, _U8, _I64, _I64,
-        _F64, _F64, _I64,
-        ctypes.c_int64, _I64, _I64,
-        _F64, _F64, _U8, _U8,
-        _I64,
+        None,
+        (
+            ctypes.c_void_p, ctypes.c_int32, ctypes.c_double, ctypes.c_int64,
+            ctypes.c_int64, _U8, _I64, _I64,
+            _F64, _F64, _I64,
+            ctypes.c_int64, _I64, _I64,
+            _F64, _F64, _U8, _U8,
+            _I64,
+        ),
     ),
 }
 
@@ -262,10 +434,10 @@ def _build() -> ctypes.CDLL:
                 "none and is bit-identical."
             )
         library = ctypes.CDLL(target)
-    for name, argtypes in _SIGNATURES.items():
+    for name, (restype, argtypes) in _SIGNATURES.items():
         function = getattr(library, name)
         function.argtypes = argtypes
-        function.restype = None
+        function.restype = restype
     return library
 
 
@@ -281,6 +453,92 @@ def bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
     with rng.bit_generator.lock:
         load().bounded_draws(rng.bit_generator.ctypes.bit_generator, bounds.size, bounds, out)
     return out
+
+
+def shuffled(rng: np.random.Generator, values: np.ndarray) -> np.ndarray:
+    """The kernel's shuffle alone: a copy of ``values`` as ``rng.shuffle(list(values))`` leaves it."""
+    x = np.array(values, dtype=np.int64)
+    if x.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    with rng.bit_generator.lock:
+        load().shuffle_values(rng.bit_generator.ctypes.bit_generator, x.size, x)
+    return x
+
+
+def leecher_unchoke(
+    rng: np.random.Generator,
+    regular_slots: int,
+    optimistic_period: int,
+    owners: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    partners: np.ndarray,
+    regular_owner: np.ndarray,
+    regular_partner: np.ndarray,
+    optimistic: np.ndarray,
+    age: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rechoke a run of leechers in one call; returns (owner rows, target ids, regular flags).
+
+    Owner ``o`` is row ``owners[o]`` (ascending), interested in
+    ``partners[lo[o]:hi[o]]`` (ascending ids).  Its regular slots are the
+    ``regular_partner`` entries at its row in ``regular_owner`` (rows
+    ascending, best first), which must be distinct partners from its
+    segment.  ``optimistic`` (rows x optimistic slots, peer ids, -1 where
+    empty) and ``age`` (rows) hold the rotation state and are updated in
+    place.  Each owner's unchokes come out in its decision order: regular,
+    optimistic, spare.  Every array is passed anew on each call, since
+    growth reallocates them; shapes and indices are checked here, dtypes
+    and C-contiguity by the declared argument types, before the kernel
+    sees a pointer.
+    """
+    n = owners.shape[0]
+    if (
+        optimistic.ndim != 2
+        or age.shape != (optimistic.shape[0],)
+        or lo.shape != (n,)
+        or hi.shape != (n,)
+        or regular_partner.shape != regular_owner.shape
+    ):
+        raise ValueError("array shapes do not match the owners and their state")
+    if n and not (
+        owners.min() >= 0
+        and owners.max() < optimistic.shape[0]
+        and lo.min() >= 0
+        and (lo <= hi).all()
+        and hi.max() <= partners.shape[0]
+    ):
+        raise IndexError("an owner or its segment lies outside the arrays")
+    widths = hi - lo
+    capacity = int(widths.sum())
+    out_owner = np.empty(capacity, dtype=np.int64)
+    out_target = np.empty(capacity, dtype=np.int64)
+    out_regular = np.empty(capacity, dtype=np.uint8)
+    with rng.bit_generator.lock:
+        count = load().leecher_unchoke(
+            rng.bit_generator.ctypes.bit_generator,
+            regular_slots,
+            optimistic.shape[1],
+            optimistic_period,
+            n,
+            owners,
+            lo,
+            hi,
+            partners,
+            regular_owner.shape[0],
+            regular_owner,
+            regular_partner,
+            optimistic,
+            age,
+            capacity,
+            out_owner,
+            out_target,
+            out_regular,
+            np.empty(2 * int(widths.max(initial=0)), dtype=np.int64),
+        )
+    if count < 0:
+        raise ValueError("regular slots must be distinct partners from their owner's segment")
+    return out_owner[:count], out_target[:count], out_regular[:count].view(np.bool_)
 
 
 def apply_transfers(

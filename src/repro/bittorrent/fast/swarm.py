@@ -16,10 +16,19 @@ as flat arrays and runs the per-round hot path on them:
   (:func:`~repro.bittorrent.fast.choking.batched_regular_slots`);
 * tracker announces are array-backed
   (:class:`~repro.bittorrent.fast.tracker.FastTracker`);
+* the rest of the rechoke -- each leecher's regular slots, optimistic
+  rotation with its per-peer age, and spare-slot fill, with their
+  shuffles -- is one call per run of consecutive leechers into the
+  compiled C kernel (:func:`~repro.bittorrent.fast.kernel.leecher_unchoke`);
+  the few seeds between runs keep the reference seed policy, and every
+  sender's share comes from one vectorized budget rule;
 * the transfer loop -- wanted masks, credit, piece picks and their
   bounded draws, bitfield and availability updates -- is one call per
-  round into a compiled C kernel (:mod:`~repro.bittorrent.fast.kernel`)
-  that draws from the rounds generator's own bit generator.
+  round into the same kernel
+  (:func:`~repro.bittorrent.fast.kernel.apply_transfers`).
+
+Both compiled functions draw from the rounds generator's own bit
+generator, exactly as numpy's ``shuffle`` and ``integers`` do.
 
 Dynamic membership breaks the fixed-width assumption the arrays were born
 with, so the adjacency is two-tier: the *live adjacency* is a list of
@@ -38,9 +47,9 @@ float accounting applies the same IEEE operations in the same sequence.
 ``tests/test_swarm_engine_equivalence.py`` enforces the contract.  The
 speedup (>= 5x at 5k leechers, gated by
 ``benchmarks/bench_swarm_speedup.py``) comes from two replacements of
-per-peer and per-piece Python set algebra: vectorized passes over the
-arrays in the plan, and the compiled loop over packed bitfields in the
-apply pass.
+per-peer and per-piece Python set algebra: vectorized passes and the
+compiled rechoke in the plan, and the compiled loop over packed
+bitfields in the apply pass.
 """
 
 from __future__ import annotations
@@ -103,8 +112,9 @@ class FastSwarmSimulator(SwarmSimulator):
         self.alive = np.zeros(0, dtype=bool)
         self.is_seed = np.zeros(0, dtype=bool)
         self.can_download = np.zeros(0, dtype=bool)
-        self.uploads: List[float] = []
-        self.upload_factor: List[float] = []
+        self.unchokes = np.zeros(0, dtype=bool)
+        self.uploads = np.zeros(0, dtype=np.float64)
+        self.upload_factor = np.zeros(0, dtype=np.float64)
         self.reveal_limit = np.zeros(0, dtype=np.int64)  # -1: no limit
         self.downloaded = np.zeros(0, dtype=np.float64)
         self.uploaded = np.zeros(0, dtype=np.float64)
@@ -138,8 +148,13 @@ class FastSwarmSimulator(SwarmSimulator):
         self.can_download = np.concatenate(
             [self.can_download, np.array([p.downloads for p in profiles], dtype=bool)]
         )
-        self.uploads.extend(uploads)
-        self.upload_factor.extend(p.upload_factor for p in profiles)
+        self.unchokes = np.concatenate(
+            [self.unchokes, np.array([p.unchokes for p in profiles], dtype=bool)]
+        )
+        self.uploads = np.concatenate([self.uploads, np.array(uploads, dtype=np.float64)])
+        self.upload_factor = np.concatenate(
+            [self.upload_factor, np.array([p.upload_factor for p in profiles], dtype=np.float64)]
+        )
         limits = [-1 if p.reveal_limit is None else p.reveal_limit for p in profiles]
         self.reveal_limit = np.concatenate([self.reveal_limit, np.array(limits, dtype=np.int64)])
         self.downloaded = np.concatenate([self.downloaded, np.zeros(count)])
@@ -147,6 +162,7 @@ class FastSwarmSimulator(SwarmSimulator):
         self.completed_round.extend([None] * count)
         self.arrival_round.extend([arrival_round] * count)
         self.neighbor_sets.extend(set() for _ in range(count))
+        self.chokers.add_rows(count)
         for i, held in enumerate(pieces, start=base):
             if held is None:
                 self.bitfields.set_complete(i)
@@ -193,7 +209,7 @@ class FastSwarmSimulator(SwarmSimulator):
             self.neighbor_sets[j].discard(i)
         self.neighbor_sets[i] = set()
         self.partial.pop(pid, None)
-        self.chokers.drop(pid)
+        self.chokers.drop(i)
         self._adjacency_dirty = True
 
     def _depart_peer(self, pid: int) -> SwarmPeer:
@@ -234,7 +250,7 @@ class FastSwarmSimulator(SwarmSimulator):
         i = pid - 1
         return SwarmPeer(
             peer_id=pid,
-            upload_kbps=self.uploads[i],
+            upload_kbps=float(self.uploads[i]),
             is_seed=bool(self.is_seed[i]),
             bitfield=self.bitfields.to_bitfield(i),
             neighbors={j + 1 for j in self.neighbor_sets[i]},
@@ -312,61 +328,72 @@ class FastSwarmSimulator(SwarmSimulator):
             self._rebuild_csr()
         config = self.config
         interested = self._interest_pass()
-        regular_map = batched_regular_slots(
+        regular_owner, regular_partner = batched_regular_slots(
             self.edge_peer,
             self.adj_pid,
             self.recv_edge,
             interested,
             config.regular_slots,
         )
-        transfers: List[Transfer] = []
-        regular_pairs: Set[Tuple[int, int]] = set()
-        round_seconds = config.round_seconds
-        # One vectorized pass finds the peers with at least one interested
-        # edge and their per-peer candidate lists; the Python loop below
-        # then only visits *active* peers, in the same ascending dense-id
-        # order as iterating every row, so the rounds stream is consumed
-        # draw for draw as in the reference sweep.
         active_edges = np.flatnonzero(interested)
         if active_edges.size == 0:
-            return transfers, regular_pairs
-        owners = self.edge_peer.take(active_edges)  # ascending (CSR order)
-        partner_ids = self.adj_pid.take(active_edges).tolist()
-        starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]]).tolist()
-        ends = starts[1:] + [owners.size]
-        owner_at = owners[starts].tolist()
-        is_seed = self.is_seed
-        uploads = self.uploads
-        profiles = self._profiles
-        upload_factor = self.upload_factor
-        for i, lo, hi in zip(owner_at, starts, ends):
-            if not profiles[i].unchokes:
-                # Never-upload owners are skipped before any choker call,
-                # exactly where the reference skips them, so the rounds
-                # stream stays aligned.
-                continue
-            interested_ids = partner_ids[lo:hi]
-            if is_seed[i]:
-                regular: List[int] = []
-                unchoked = self.chokers.seed_unchoke(interested_ids, rng)
-            else:
-                regular, optimistic = self.chokers.leecher_unchoke(
-                    i + 1, interested_ids, regular_map.get(i, []), rng
+            return [], set()
+        # The owners with at least one interested edge, ascending (CSR
+        # order), each with its segment of interested partner ids.
+        # Never-upload owners are dropped before any draw, exactly where
+        # the reference skips them, so the rounds stream stays aligned.
+        edge_owner = self.edge_peer[active_edges]
+        partners = self.adj_pid[active_edges]
+        lo = np.flatnonzero(np.r_[True, edge_owner[1:] != edge_owner[:-1]])
+        hi = np.r_[lo[1:], edge_owner.size]
+        owners = edge_owner[lo]
+        keep = self.unchokes[owners]
+        if not keep.any():
+            return [], set()
+        owners, lo, hi = owners[keep], lo[keep], hi[keep]
+        # Seeds cut the owners into runs of leechers: one kernel call per
+        # run and the seed policy in between consume the rounds stream in
+        # ascending row order, as the reference sweep does.
+        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        begin = 0
+        for cut in [*np.flatnonzero(self.is_seed[owners]).tolist(), owners.size]:
+            if begin < cut:
+                parts.append(
+                    self.chokers.leecher_unchoke(
+                        rng,
+                        owners[begin:cut],
+                        lo[begin:cut],
+                        hi[begin:cut],
+                        partners,
+                        regular_owner,
+                        regular_partner,
+                    )
                 )
-                unchoked = regular + optimistic
-            if not unchoked:
-                continue
-            for target in regular:
-                regular_pairs.add((i + 1, target))
-            budget_kbit = uploads[i] * round_seconds
-            factor = upload_factor[i]
-            if factor != 1.0:
-                # Guarded multiply: standard peers keep the exact float
-                # sequence of the behavior-free code path.
-                budget_kbit *= factor
-            share = budget_kbit / len(unchoked)
-            for target in unchoked:
-                transfers.append((i + 1, target, share))
+            if cut < owners.size:
+                unchoked = self.chokers.seed_unchoke(
+                    partners[lo[cut] : hi[cut]].tolist(), rng
+                )
+                parts.append(
+                    (
+                        np.full(len(unchoked), owners[cut]),
+                        np.array(unchoked, dtype=np.int64),
+                        np.zeros(len(unchoked), dtype=bool),
+                    )
+                )
+            begin = cut + 1
+        rows, targets, regular = (np.concatenate(column) for column in zip(*parts))
+        # One budget rule for every sender, element-wise in float64: the
+        # factor multiplies only where it is not 1.0, so standard peers keep
+        # the exact float sequence of the behavior-free code path.
+        budget = self.uploads[rows] * config.round_seconds
+        factor = self.upload_factor[rows]
+        budget = np.where(factor != 1.0, budget * factor, budget)
+        shares = budget / np.bincount(rows, minlength=self.n_total)[rows]
+        senders = rows + 1
+        transfers = list(zip(senders.tolist(), targets.tolist(), shares.tolist()))
+        # Inserted in plan order, as the reference inserts them: the set's
+        # iteration order becomes the order of tft_reciprocal_rounds.
+        regular_pairs = set(zip(senders[regular].tolist(), targets[regular].tolist()))
         return transfers, regular_pairs
 
     def _apply_round(

@@ -37,6 +37,7 @@ oracle) or ``engine="fast"`` (the packed-bit array backend in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -198,6 +199,12 @@ class SwarmConfig:
             raise ValueError("warmup_rounds cannot be negative")
         if self.optimistic_period <= 0:
             raise ValueError("optimistic_period must be positive")
+        if not (math.isfinite(self.round_seconds) and self.round_seconds > 0.0):
+            raise ValueError("round_seconds must be finite and positive")
+        if not (math.isfinite(self.piece_size_kbit) and self.piece_size_kbit > 0.0):
+            raise ValueError("piece_size_kbit must be finite and positive")
+        if not (math.isfinite(self.seed_upload_kbps) and self.seed_upload_kbps >= 0.0):
+            raise ValueError("seed_upload_kbps must be finite and non-negative")
         if self.behaviors is not None:
             self.behaviors = resolve_behavior_mix(self.behaviors)
         if self.faults is not None:
@@ -458,6 +465,8 @@ class SwarmSimulator:
             uploads = np.asarray(list(bandwidths), dtype=float)
             if uploads.shape[0] != config.leechers:
                 raise ValueError("bandwidths must have one entry per leecher")
+            if not (np.isfinite(uploads).all() and (uploads >= 0.0).all()):
+                raise ValueError("bandwidths must be finite and non-negative")
         else:
             dist = distribution if distribution is not None else saroiu_like_distribution()
             uploads = dist.sample(config.leechers, self.source.stream(streams.BANDWIDTH))

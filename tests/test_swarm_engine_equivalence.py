@@ -80,6 +80,10 @@ def assert_results_identical(reference: SwarmResult, fast: SwarmResult) -> None:
     )
     assert _all_floats(fast.collaboration_volume.values())
     assert reference.tft_reciprocal_rounds == fast.tft_reciprocal_rounds
+    assert list(reference.tft_reciprocal_rounds.items()) == list(
+        fast.tft_reciprocal_rounds.items()
+    )
+    assert _all_floats(fast.tft_reciprocal_rounds.values())
     assert reference.resilience == fast.resilience
     assert set(reference.peers) == set(fast.peers)
     for pid in reference.peers:
@@ -883,6 +887,32 @@ class TestEngineInterface:
         with pytest.raises(ValueError):
             SwarmSimulator(config, engine="fast", bandwidths=[100.0] * 3)
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("round_seconds", -10.0),
+            ("round_seconds", 0.0),
+            ("round_seconds", float("nan")),
+            ("round_seconds", float("inf")),
+            ("piece_size_kbit", float("nan")),
+            ("piece_size_kbit", float("inf")),
+            ("seed_upload_kbps", -5.0),
+            ("seed_upload_kbps", float("nan")),
+            ("seed_upload_kbps", float("inf")),
+            ("bandwidths", [-100.0] * 10),
+            ("bandwidths", [float("nan")] * 10),
+            ("bandwidths", [200.0] * 9 + [float("inf")]),
+        ],
+    )
+    def test_parameters_that_cannot_describe_a_run_are_rejected(self, engine, field, value):
+        base = dict(leechers=10, seeds=1, piece_count=20, rounds=3)
+        with pytest.raises(ValueError, match=field):
+            if field == "bandwidths":
+                SwarmSimulator(SwarmConfig(**base), seed=1, engine=engine, bandwidths=value)
+            else:
+                SwarmSimulator(SwarmConfig(**base, **{field: value}), seed=1, engine=engine)
+
     def test_invalid_selector_rejected(self):
         config = SwarmConfig(
             leechers=5, piece_count=10, rounds=2, piece_selection="weird"
@@ -1018,13 +1048,12 @@ class TestFastComponents:
         partner_id = np.array([5, 2, 9, 7, 3])
         received = np.array([1.0, 4.0, 4.0, 0.5, 2.0])
         interested = np.array([True, True, True, True, False])
-        slots = batched_regular_slots(edge_peer, partner_id, received, interested, 3)
-        assert slots == {0: [2, 9, 5]}
-        # Zero slots or nothing received -> empty mapping.
-        assert batched_regular_slots(edge_peer, partner_id, received, interested, 0) == {}
-        assert (
-            batched_regular_slots(
-                edge_peer, partner_id, np.zeros(5), interested, 3
+        peers, partners = batched_regular_slots(edge_peer, partner_id, received, interested, 3)
+        assert peers.tolist() == [0, 0, 0]
+        assert partners.tolist() == [2, 9, 5]
+        # Zero slots or nothing received -> no slots.
+        for slots, volumes in ((0, received), (3, np.zeros(5))):
+            peers, partners = batched_regular_slots(
+                edge_peer, partner_id, volumes, interested, slots
             )
-            == {}
-        )
+            assert peers.tolist() == partners.tolist() == []
