@@ -35,7 +35,14 @@ with, so the adjacency is two-tier: the *live adjacency* is a list of
 Python neighbor sets the protocol's connect, depart, crash and gossip
 steps mutate, and the *CSR edge arrays* the vectorized passes run over
 are a frozen snapshot of it, re-frozen (``_rebuild_csr``) before the
-first plan after a change.  Peer rows grow geometrically
+first plan after a change.  A freeze reads the sets in one pass and
+orders every row with one sort of row-major keys
+(:func:`~repro.bittorrent.fast.tracker.neighbor_sets_to_csr`).  Nothing
+changes the adjacency between that plan and the round's gossip, so the
+snapshot is still current when the protocol asks for every sorted
+neighbor row at once (``_neighbor_csr``): the gossip pools are segments
+of it.  Last round's receipts are projected onto the edge layout once
+per round, at the start of the plan after any re-freeze.  Peer rows grow geometrically
 (:meth:`BitfieldMatrix.add_peers`) and are tombstoned via an ``alive``
 mask on departure -- ids are never reused, so a row index stays valid for
 the whole run.
@@ -234,8 +241,13 @@ class FastSwarmSimulator(SwarmSimulator):
         ids: List[int] = (np.flatnonzero(self.alive) + 1).tolist()
         return ids
 
-    def _sorted_neighbors(self, pid: int) -> List[int]:
-        return sorted(j + 1 for j in self.neighbor_sets[pid - 1])
+    def _has_neighbors(self, pid: int) -> bool:
+        return bool(self.neighbor_sets[pid - 1])
+
+    def _neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._adjacency_dirty:
+            self._rebuild_csr()
+        return self.indptr, self.adj_pid
 
     def _pieces_held(self, pid: int) -> Optional[int]:
         i = pid - 1
@@ -289,13 +301,10 @@ class FastSwarmSimulator(SwarmSimulator):
         """Re-freeze the live adjacency after a membership or gossip change.
 
         Departed peers have empty segments (their sets were scrubbed), new
-        arrivals bring their announce edges in; last round's received
-        volumes are re-projected onto the new edge layout so the coming
-        rechoke sees exactly what the reference chokers see.
+        arrivals bring their announce edges in.
         """
         self.indptr, self.adj = neighbor_sets_to_csr(self.neighbor_sets)
         self._freeze_edges()
-        self._project_received()
         self._adjacency_dirty = False
 
     # -- the round -----------------------------------------------------------------
@@ -326,6 +335,7 @@ class FastSwarmSimulator(SwarmSimulator):
     ) -> Tuple[List[Transfer], Set[Tuple[int, int]]]:
         if self._adjacency_dirty:
             self._rebuild_csr()
+        self._project_received()
         config = self.config
         interested = self._interest_pass()
         regular_owner, regular_partner = batched_regular_slots(
@@ -453,16 +463,17 @@ class FastSwarmSimulator(SwarmSimulator):
                     newly_completed.append(receiver)
 
         self._last_received = received_now
-        self._project_received()
         return newly_completed
 
     def _project_received(self) -> None:
         """Scatter ``_last_received`` onto the current edge array.
 
-        Under churn the edge layout may have just been re-frozen, so every
-        (receiver, sender) pair is resolved against the live edge keys and
-        pairs whose edge disappeared (a departed partner) are dropped --
-        the reference chokers never look those up either.
+        Runs once per round, at the start of the plan and after any
+        re-freeze, so the rechoke sees exactly what the reference chokers
+        see.  Every (receiver, sender) pair is resolved against the live
+        edge keys, and pairs whose edge disappeared (a departed or crashed
+        partner) are dropped -- the reference chokers never look those up
+        either.
         """
         self.recv_edge.fill(0.0)
         if not self._last_received or self.edge_key.size == 0:

@@ -10,8 +10,8 @@ infeasible.  This tracker keeps two regimes:
   ``1..k`` and an announce is one ``rng.choice(k, size, replace=False)``
   with no materialization at all;
 * **dynamic** (scenario churn): once a peer departs, the tracker drops to
-  a sorted alive-id list (joins append -- ids only grow -- and departures
-  are one linear ``list.remove``); an announce is one
+  a sorted alive-id list (joins insert in order, and departures and
+  registration tests bisect it); an announce is one
   ``rng.choice(len(alive), size, replace=False)`` mapped through the
   list, still far cheaper than the reference's per-announce set sort.
 
@@ -25,6 +25,7 @@ tests cover both the construction path and churning scenarios.
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -105,17 +106,19 @@ class FastTracker:
         """Remove a peer; later announces can no longer return it."""
         if self._alive is None:
             self._alive = list(range(1, self._max_id + 1))
-        try:
-            self._alive.remove(peer_id)
-        except ValueError:
-            pass  # mirror Tracker.depart's discard semantics
+        alive = self._alive
+        at = bisect.bisect_left(alive, peer_id)
+        if at < len(alive) and alive[at] == peer_id:
+            del alive[at]  # absent ids are ignored, as Tracker.depart discards
         self._complete.discard(peer_id)
 
     def is_registered(self, peer_id: int) -> bool:
         """Whether the peer is currently in the swarm (not departed)."""
-        if self._alive is None:
+        alive = self._alive
+        if alive is None:
             return 1 <= peer_id <= self._max_id
-        return peer_id in self._alive
+        at = bisect.bisect_left(alive, peer_id)
+        return at < len(alive) and alive[at] == peer_id
 
     def register_complete(self, peer_id: int) -> None:
         """Mark a registered peer as a seeder without counting a snatch."""
@@ -195,14 +198,23 @@ def build_neighbor_csr(
 
 
 def neighbor_sets_to_csr(neighbor_sets: List[set]) -> Tuple[np.ndarray, np.ndarray]:
-    """Freeze per-peer neighbor sets into (indptr, adj) CSR arrays."""
+    """Freeze per-peer neighbor sets into (indptr, adj) CSR arrays.
+
+    Row ``i`` holds ``neighbor_sets[i]`` (non-negative ids) ascending.
+    The sets are read in one pass, and one sort of the row-major keys
+    ``row * width + id`` orders every row at once: the rows keep their
+    place and each row's ids come out ascending.
+    """
     n_peers = len(neighbor_sets)
-    degrees = np.fromiter(
-        (len(s) for s in neighbor_sets), dtype=np.int64, count=n_peers
-    )
+    degrees = np.fromiter(map(len, neighbor_sets), dtype=np.int64, count=n_peers)
     indptr = np.zeros(n_peers + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    adj = np.empty(int(indptr[-1]), dtype=np.int64)
-    for i, neighbors in enumerate(neighbor_sets):
-        adj[indptr[i]:indptr[i + 1]] = sorted(neighbors)
+    adj = np.fromiter(
+        itertools.chain.from_iterable(neighbor_sets), dtype=np.int64, count=int(indptr[-1])
+    )
+    if adj.size:
+        row_base = np.repeat(np.arange(n_peers, dtype=np.int64) * (int(adj.max()) + 1), degrees)
+        adj += row_base
+        adj.sort()
+        adj -= row_base
     return indptr, adj

@@ -219,36 +219,45 @@ def resolve_resilience(
 
 
 def sample_pools(
-    pools: Sequence[Sequence[int]],
+    sizes: Sequence[int] | np.ndarray,
     sample_size: int,
     rng: np.random.Generator,
-) -> List[List[int]]:
+) -> np.ndarray:
     """Draw one bounded sample per pool, as a single pinned batch.
 
-    For each pool, ``min(sample_size, len(pool))`` elements are picked
-    without replacement via a partial Fisher-Yates (``pool.pop(draw)``),
-    and the pick bounds of *all* pools concatenate into one
-    ``rng.integers(0, bounds)`` batch -- the draw-batching idiom the fast
-    engine's piece selector uses.  Empty pools contribute no bounds; an
-    all-empty call draws nothing.
+    The pools are given by their sizes and the samples come back as
+    positions, so no pool is ever built: pool ``i`` is any sequence of
+    ``sizes[i]`` elements (a CSR segment, a prefix of a list), and it
+    contributes ``min(sample_size, sizes[i])`` positions into itself,
+    picked without replacement.  The result holds them pool after pool,
+    each pool's in pick order.
+
+    The picks are those of a partial Fisher-Yates that pops each draw
+    from the shrinking pool (``pool.pop(draw)``), and the pop bounds of
+    *all* pools concatenate into one ``rng.integers(0, bounds)`` batch --
+    the draw-batching idiom the fast engine's piece selector uses.  Empty
+    pools contribute no bounds; an all-empty call draws nothing.
     """
-    picks = [min(sample_size, len(pool)) for pool in pools]
-    bounds: List[int] = []
-    for pool, k in zip(pools, picks):
-        bounds.extend(range(len(pool), len(pool) - k, -1))
-    if not bounds:
-        return [[] for _ in pools]
-    draws = rng.integers(0, np.asarray(bounds, dtype=np.int64)).tolist()
-    samples: List[List[int]] = []
-    cursor = 0
-    for pool, k in zip(pools, picks):
-        working = list(pool)
-        picked: List[int] = []
-        for _ in range(k):
-            picked.append(int(working.pop(draws[cursor])))
-            cursor += 1
-        samples.append(picked)
-    return samples
+    sizes = np.asarray(sizes, dtype=np.int64)
+    picks = np.minimum(sizes, sample_size)
+    total = int(picks.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    pool = np.repeat(np.arange(sizes.size), picks)
+    column = np.arange(total) - (np.cumsum(picks) - picks)[pool]
+    # One row per pool, one column per pick, filled with the draws.  The
+    # pick in column j pops the draw-th element of what the earlier picks
+    # left, so its position is that order statistic of the complement:
+    # walk the earlier positions ascending and step past each one at or
+    # below the running position.  A short pool's padding columns come
+    # after its real ones and so never feed them.
+    grid = np.zeros((sizes.size, int(picks.max())), dtype=np.int64)
+    grid[pool, column] = rng.integers(0, sizes[pool] - column)
+    for j in range(1, grid.shape[1]):
+        position = grid[:, j]
+        for earlier in np.sort(grid[:, :j], axis=1).T:
+            position += earlier <= position
+    return grid[pool, column]
 
 
 class ResilienceRuntime:

@@ -37,7 +37,9 @@ oracle) or ``engine="fast"`` (the packed-bit array backend in
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -101,6 +103,33 @@ __all__ = [
     "partner_ranks_by_peer",
     "stratification_index",
 ]
+
+
+#: The :class:`SwarmConfig` fields that count something (peers, pieces,
+#: slots, rounds): each must be an integer.
+_COUNT_FIELDS = (
+    "leechers",
+    "seeds",
+    "piece_count",
+    "regular_slots",
+    "optimistic_slots",
+    "seed_slots",
+    "announce_size",
+    "rounds",
+    "warmup_rounds",
+    "optimistic_period",
+)
+
+
+def _is_count(value: Any) -> bool:
+    """Whether ``value`` is an integer: ``operator.index`` takes it and it is not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass
@@ -187,6 +216,10 @@ class SwarmConfig:
     resilience: "ResiliencePolicy | str | None" = None
 
     def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.leechers <= 1:
             raise ValueError("need at least two leechers")
         if self.seeds < 0:
@@ -685,12 +718,14 @@ class SwarmSimulator:
         local discovery only know peers that existed first).  One
         pex-gossip batch per queued announce.
         """
-        candidates = [other for other in self._live_ids() if other < pid]
-        sample = sample_pools(
-            [candidates],
+        live = self._live_ids()
+        candidates = live[: bisect.bisect_left(live, pid)]
+        positions = sample_pools(
+            [len(candidates)],
             self.resilience.pex_sample,
             self.source.stream(streams.PEX_GOSSIP),
-        )[0]
+        )
+        sample = [candidates[at] for at in positions.tolist()]
         if sample:
             self._connect(pid, sample)
             self._resilience.count_bootstrap()
@@ -702,18 +737,36 @@ class SwarmSimulator:
         (sender, receiver) pair carries one bounded sample of the sender's
         live neighbors (receiver excluded); all samples of the round are
         drawn as one pinned pex-gossip batch over the sorted pairs
-        *before* any edge is added.
+        *before* any edge is added.  A pool is never built: it is the
+        sender's sorted CSR row with the receiver's slot cut out, so the
+        sampler gets its size and its positions map back past the cut.
         """
         pairs = sorted((sender, receiver) for sender, receiver, _ in transfers)
-        pools = [
-            [other for other in self._sorted_neighbors(sender) if other != receiver]
-            for sender, receiver in pairs
-        ]
-        samples = sample_pools(
-            pools, self.resilience.pex_sample, self.source.stream(streams.PEX_GOSSIP)
-        )
-        for (_, receiver), sample in zip(pairs, samples):
-            self._resilience.count_introduction(self._connect(receiver, sample))
+        senders = np.array([sender for sender, _ in pairs], dtype=np.int64)
+        receivers = np.array([receiver for _, receiver in pairs], dtype=np.int64)
+        indptr, adj = self._neighbor_csr()
+        start = indptr[senders - 1]
+        # The receiver's slot in its sender's row: one searchsorted over
+        # the row-major keys (rows ascending, each row sorted; pids stay
+        # below the key width).
+        width = indptr.size
+        keys = np.repeat(np.arange(width - 1, dtype=np.int64) * width, np.diff(indptr)) + adj
+        query = (senders - 1) * width + receivers
+        slot = np.searchsorted(keys, query)
+        in_row = slot < keys.size
+        in_row[in_row] = keys[slot[in_row]] == query[in_row]
+        sizes = indptr[senders] - start - in_row
+        sample_size = self.resilience.pex_sample
+        positions = sample_pools(sizes, sample_size, self.source.stream(streams.PEX_GOSSIP))
+        counts = np.minimum(sizes, sample_size)
+        pair = np.repeat(np.arange(len(pairs)), counts)
+        # Pool positions at or past the receiver's slot sit one further on in the row.
+        positions += in_row[pair] & (positions >= (slot - start)[pair])
+        picked = adj[start[pair] + positions].tolist()
+        end = 0
+        for receiver, count in zip(receivers.tolist(), counts.tolist()):
+            begin, end = end, end + count
+            self._resilience.count_introduction(self._connect(receiver, picked[begin:end]))
 
     def _process_rejoins(self, round_index: int) -> None:
         """Restore crashed peers whose rejoin falls due this round.
@@ -760,9 +813,7 @@ class SwarmSimulator:
         if self._resilience_active:
             # The keepalive clock starts now; only a peer somebody was
             # connected to is detectable (captured before the scrub).
-            self._resilience.note_crash(
-                pid, round_index, bool(self._sorted_neighbors(pid))
-            )
+            self._resilience.note_crash(pid, round_index, self._has_neighbors(pid))
         snapshot = self._crash_peer(pid)
         snapshot.departed_round = round_index
         self._departed[pid] = snapshot
@@ -935,8 +986,18 @@ class SwarmSimulator:
         """Present peer ids, ascending."""
         raise NotImplementedError
 
-    def _sorted_neighbors(self, pid: int) -> List[int]:
-        """A present peer's neighbor ids, ascending."""
+    def _has_neighbors(self, pid: int) -> bool:
+        """Whether a present peer has any neighbor."""
+        raise NotImplementedError
+
+    def _neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every present peer's neighbor pids, ascending, as CSR rows.
+
+        Returns ``(indptr, adj)`` with one row per allocated pid: row
+        ``pid - 1`` is ``adj[indptr[pid - 1]:indptr[pid]]``, empty for a
+        peer that is not present.  Read-only: the caller must not change
+        either array.
+        """
         raise NotImplementedError
 
     def _pieces_held(self, pid: int) -> Optional[int]:
@@ -1059,8 +1120,20 @@ class ReferenceSwarmSimulator(SwarmSimulator):
     def _live_ids(self) -> List[int]:
         return list(self._peers)
 
-    def _sorted_neighbors(self, pid: int) -> List[int]:
-        return sorted(self._peers[pid].neighbors)
+    def _has_neighbors(self, pid: int) -> bool:
+        return bool(self._peers[pid].neighbors)
+
+    def _neighbor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        # Imported here: the fast package imports this module.
+        from repro.bittorrent.fast.tracker import neighbor_sets_to_csr
+
+        peers = self._peers
+        return neighbor_sets_to_csr(
+            [
+                peers[pid].neighbors if pid in peers else set()
+                for pid in range(1, len(self._profiles) + 1)
+            ]
+        )
 
     def _pieces_held(self, pid: int) -> Optional[int]:
         peer = self._peers.get(pid)

@@ -21,9 +21,8 @@ Violations can be locally waived with a justified pragma::
 
 or parked in a committed baseline file so the gate stays additive.  See
 ``docs/determinism.md`` for the full workflow.
+
+The package imports none of its modules: ``python -m repro.devtools.lint``
+runs the linter as ``__main__``, which a copy already imported by the
+package would shadow (``runpy`` warns about exactly that).
 """
-
-from repro.devtools.lint import main, run_lint
-from repro.devtools.rules import RULES, Finding
-
-__all__ = ["main", "run_lint", "RULES", "Finding"]

@@ -11,6 +11,9 @@ that the real ``src/`` tree lints clean against the committed baseline.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,6 +292,21 @@ def test_real_src_tree_lints_clean() -> None:
     assert not run.active, "\n".join(
         f"{f.location()}: {f.code} {f.message}" for f in run.active
     )
+
+
+def test_module_entry_point_runs_without_a_runtime_warning() -> None:
+    """``python -m repro.devtools.lint src``, as CI and the README run it, warns nothing."""
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.devtools.lint", "src"],
+        cwd=REPO_ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert child.returncode == 0, child.stderr
 
 
 def test_committed_baseline_has_no_strict_tree_entries() -> None:

@@ -19,9 +19,14 @@ is pinned on its own terms.
 
 from __future__ import annotations
 
+from typing import List, Sequence, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bittorrent import swarm as swarm_module
 from repro.bittorrent.faults import FaultSchedule, make_faults
 from repro.bittorrent.resilience import (
     RESILIENCE_PRESET_NAMES,
@@ -136,17 +141,23 @@ class TestResolveResilience:
 # ---------------------------------------------------------------------------
 
 
+def _sample(pools, sample_size, rng):
+    """Each pool's sample, drawn through the sampler's sizes-in, positions-out form."""
+    positions = iter(sample_pools([len(pool) for pool in pools], sample_size, rng).tolist())
+    return [[pool[next(positions)] for _ in range(min(sample_size, len(pool)))] for pool in pools]
+
+
 class TestSamplePools:
     def test_deterministic_under_a_shared_seed(self):
         pools = [[3, 1, 4, 1, 5], [9, 2, 6], []]
-        a = sample_pools(pools, 2, np.random.default_rng(7))
-        b = sample_pools(pools, 2, np.random.default_rng(7))
+        a = _sample(pools, 2, np.random.default_rng(7))
+        b = _sample(pools, 2, np.random.default_rng(7))
         assert a == b
 
     def test_samples_are_bounded_subsets_without_replacement(self):
         rng = np.random.default_rng(11)
         pools = [list(range(10)), [42], list(range(100, 103))]
-        samples = sample_pools(pools, 4, rng)
+        samples = _sample(pools, 4, rng)
         for pool, sample in zip(pools, samples):
             assert len(sample) == min(4, len(pool))
             assert len(set(sample)) == len(sample)
@@ -154,7 +165,7 @@ class TestSamplePools:
 
     def test_empty_pools_draw_nothing(self):
         rng = np.random.default_rng(3)
-        assert sample_pools([[], [], []], 8, rng) == [[], [], []]
+        assert _sample([[], [], []], 8, rng) == [[], [], []]
         # The stream was not consumed: the next draw matches a fresh rng.
         fresh = np.random.default_rng(3)
         assert rng.integers(0, 1000) == fresh.integers(0, 1000)
@@ -163,8 +174,91 @@ class TestSamplePools:
         # Concatenated bounds mean pool *grouping* does not change the
         # draws: the flat sequence of picks is identical.
         pools = [[1, 2, 3], [4, 5, 6, 7]]
-        merged = sample_pools(pools, 2, np.random.default_rng(5))
+        merged = _sample(pools, 2, np.random.default_rng(5))
         assert [len(s) for s in merged] == [2, 2]
+
+
+# -- oracle: the copy-and-pop sampler the positions-out one replaced --
+#
+# Copied verbatim, so the sampler is held to the same picks and the same
+# generator state.
+
+
+def _copy_and_pop_sample_pools(
+    pools: Sequence[Sequence[int]],
+    sample_size: int,
+    rng: np.random.Generator,
+) -> List[List[int]]:
+    picks = [min(sample_size, len(pool)) for pool in pools]
+    bounds: List[int] = []
+    for pool, k in zip(pools, picks):
+        bounds.extend(range(len(pool), len(pool) - k, -1))
+    if not bounds:
+        return [[] for _ in pools]
+    draws = rng.integers(0, np.asarray(bounds, dtype=np.int64)).tolist()
+    samples: List[List[int]] = []
+    cursor = 0
+    for pool, k in zip(pools, picks):
+        working = list(pool)
+        picked: List[int] = []
+        for _ in range(k):
+            picked.append(int(working.pop(draws[cursor])))
+            cursor += 1
+        samples.append(picked)
+    return samples
+
+
+def _generators(seed: int, buffered: bool) -> Tuple[np.random.Generator, np.random.Generator]:
+    """Two generators in one state; a buffered pair holds a spare 32-bit draw."""
+    pair = (np.random.default_rng(seed), np.random.default_rng(seed))
+    if buffered:
+        for rng in pair:
+            rng.integers(0, 7)
+    return pair
+
+
+def _assert_same_samples(pools, sample_size, seed, buffered):
+    rng, reference_rng = _generators(seed, buffered)
+    assert _sample(pools, sample_size, rng) == _copy_and_pop_sample_pools(
+        pools, sample_size, reference_rng
+    )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestSamplePoolsOracle:
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("sample_size", [1, 4, 8])
+    @pytest.mark.parametrize(
+        "pools",
+        [
+            [],
+            [[], [], []],
+            [[7], [], [8, 9]],
+            [list(range(3)), list(range(10, 30)), [], list(range(50, 55))],
+            [list(range(100, 100 + size)) for size in range(12)],
+            [[5, 3, 9, 1], list(range(40)), [2, 2, 2]],
+        ],
+    )
+    def test_matches_copy_and_pop(self, pools, sample_size, buffered):
+        for seed in (0, 1, 2007, 2**32 - 1):
+            _assert_same_samples(pools, sample_size, seed, buffered)
+
+    @pytest.mark.parametrize("sample_size", [1, 4, 8])
+    def test_gossip_sized_batch_matches_copy_and_pop(self, sample_size):
+        # A blackout round's shape: thousands of pools of a few dozen ids.
+        sizes = np.random.default_rng(3).integers(0, 80, size=3_000)
+        pools = [list(range(size)) for size in sizes.tolist()]
+        _assert_same_samples(pools, sample_size, 17, buffered=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pools=st.lists(st.lists(st.integers(-50, 50), max_size=20), max_size=12),
+        sample_size=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        buffered=st.booleans(),
+    )
+    def test_matches_copy_and_pop_property(self, pools, sample_size, seed, buffered):
+        _assert_same_samples(pools, sample_size, seed, buffered)
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +500,90 @@ class TestAdjacencyInvariant:
         if scenario == "static":
             # Every crashed peer rejoined: the whole population is present.
             assert len(present) == 63
+
+
+# Runs whose blackouts gossip: the ``swarm_pex_outage`` golden trace, and
+# the perfbench ``swarm-churn`` spec at its 200-leecher cross-check size.
+_GOSSIP_RUNS = {
+    "pex-outage-golden": (
+        dict(
+            leechers=10, seeds=1, piece_count=60, rounds=14,
+            start_completion=0.3, announce_size=6,
+            seed_upload_kbps=300.0, faults="outage:5+4/all,crash:4@3",
+            resilience="full",
+        ),
+        111,
+    ),
+    "swarm-churn-200": (
+        dict(
+            _CHURN_SPEC,
+            leechers=200,
+            piece_count=300,
+            faults="outage:3+2/all,outage:6+3/1,crash:50@4~3,loss:0.02",
+        ),
+        7,
+    ),
+}
+
+
+class TestGossipPools:
+    """Each gossip pool is its sender's sorted live neighbors minus the receiver.
+
+    Both engines run the one ``_pex_round``, so the cross-engine suite
+    cannot catch a wrong pool.  Here every gossip batch is checked against
+    the engine's live adjacency at the moment of the draw: each pool's
+    size, and each sample against the pool's elements at the drawn
+    positions, in the order the receivers connect them.
+    """
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("run", sorted(_GOSSIP_RUNS))
+    def test_pools_are_live_neighbors_minus_receiver(self, engine, run, monkeypatch):
+        config, seed = _GOSSIP_RUNS[run]
+        simulator = SwarmSimulator(
+            SwarmConfig(**config), seed=seed, engine=engine, scenario="poisson"
+        )
+        batch = {}
+        checked = {"pairs": 0, "picks": 0}
+
+        real_sample_pools = swarm_module.sample_pools
+
+        def sample_pools(sizes, sample_size, rng):
+            positions = real_sample_pools(sizes, sample_size, rng)
+            if "pairs" in batch:  # a gossip batch, not a blackout bootstrap
+                adjacency = {pid: peer.neighbors for pid, peer in simulator.peers.items()}
+                pools = [sorted(adjacency[s] - {r}) for s, r in batch["pairs"]]
+                assert np.asarray(sizes).tolist() == [len(pool) for pool in pools]
+                drawn = iter(positions.tolist())
+                batch["expected"] = iter(
+                    [
+                        (receiver, [pool[next(drawn)] for _ in range(min(sample_size, len(pool)))])
+                        for (_, receiver), pool in zip(batch["pairs"], pools)
+                    ]
+                )
+                checked["pairs"] += len(pools)
+                checked["picks"] += positions.size
+            return positions
+
+        real_pex_round = simulator._pex_round
+
+        def pex_round(transfers):
+            batch["pairs"] = sorted((sender, receiver) for sender, receiver, _ in transfers)
+            real_pex_round(transfers)
+            assert next(batch.pop("expected"), None) is None, "a sample was never connected"
+            batch.clear()
+
+        real_connect = simulator._connect
+
+        def connect(pid, contacts):
+            contacts = list(contacts)
+            if "expected" in batch:
+                assert (pid, contacts) == next(batch["expected"])
+            return real_connect(pid, contacts)
+
+        monkeypatch.setattr(swarm_module, "sample_pools", sample_pools)
+        monkeypatch.setattr(simulator, "_pex_round", pex_round)
+        monkeypatch.setattr(simulator, "_connect", connect)
+        result = simulator.run()
+        assert checked["pairs"] > 0 and checked["picks"] > 0
+        assert result.resilience.pex_introductions > 0

@@ -903,6 +903,16 @@ class TestEngineInterface:
             ("bandwidths", [-100.0] * 10),
             ("bandwidths", [float("nan")] * 10),
             ("bandwidths", [200.0] * 9 + [float("inf")]),
+            ("optimistic_period", 2.0),
+            ("regular_slots", 2.5),
+            ("seed_slots", 2.5),
+            ("rounds", 2.5),
+            ("announce_size", 5.5),
+            ("warmup_rounds", 0.5),
+            ("leechers", 10.0),
+            ("piece_count", "20"),
+            ("optimistic_slots", True),
+            ("seeds", np.float64(1.0)),
         ],
     )
     def test_parameters_that_cannot_describe_a_run_are_rejected(self, engine, field, value):
@@ -911,7 +921,7 @@ class TestEngineInterface:
             if field == "bandwidths":
                 SwarmSimulator(SwarmConfig(**base), seed=1, engine=engine, bandwidths=value)
             else:
-                SwarmSimulator(SwarmConfig(**base, **{field: value}), seed=1, engine=engine)
+                SwarmSimulator(SwarmConfig(**{**base, field: value}), seed=1, engine=engine)
 
     def test_invalid_selector_rejected(self):
         config = SwarmConfig(

@@ -4,15 +4,18 @@ The scenario and equivalence suites exercise the trackers through whole
 swarms; these tests pin the announce-after-depart machinery directly --
 the regime switch from the contiguous range to the sorted alive list, the
 draw parity with the reference tracker, and the scrape counters across
-churn.
+churn -- and hold the CSR freeze of the live adjacency to the per-row
+loop it replaced.
 """
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 import pytest
 
-from repro.bittorrent.fast.tracker import FastTracker
+from repro.bittorrent.fast.tracker import FastTracker, neighbor_sets_to_csr
 from repro.bittorrent.tracker import ScrapeStats, Tracker
 
 
@@ -100,6 +103,33 @@ class TestFastTrackerAnnounce:
         assert tracker.known_peers() == sorted(tracker.known_peers())
         assert tracker.swarm_size == 5
 
+    def test_registration_matches_reference_under_interleaved_churn(self):
+        # Joins, departures (repeated and unknown ids too) and rejoining
+        # re-announces, interleaved; after every step both trackers agree
+        # on who is registered, and the announces agree id for id.
+        fast = FastTracker(announce_size=3)
+        reference = Tracker(announce_size=3)
+        fast_rng, ref_rng = _paired_rngs(5)
+        steps = np.random.default_rng(9)
+        next_id = 1
+        for _ in range(300):
+            if next_id <= 3 or steps.random() < 0.5:
+                peer_id, op = next_id, "join"
+                next_id += 1
+            else:
+                peer_id = int(steps.integers(0, next_id + 2))
+                op = "depart" if steps.random() < 0.7 else "reannounce"
+            if op == "depart":
+                fast.depart(peer_id)
+                reference.depart(peer_id)
+            elif op == "join" or reference.is_registered(peer_id):
+                fast_contacts = fast.announce(peer_id, fast_rng)
+                ref_contacts = reference.announce(peer_id, ref_rng)
+                assert [int(c) for c in fast_contacts] == [int(c) for c in ref_contacts]
+            for pid in range(0, next_id + 2):
+                assert fast.is_registered(pid) == reference.is_registered(pid), pid
+            assert fast.known_peers() == reference.known_peers()
+
     def test_depart_unknown_id_is_noop(self):
         tracker = FastTracker(announce_size=2)
         rng = np.random.default_rng(0)
@@ -179,3 +209,66 @@ class TestFastTrackerScrape:
             tracker.record_completion(6)
         assert fast.scrape() == reference.scrape()
         assert fast.known_peers() == reference.known_peers()
+
+
+# -- oracle: the per-row freeze loop the one-sort freeze replaced --
+#
+# Copied verbatim, so the freeze is held to the same int64 arrays.
+
+
+def _per_row_neighbor_sets_to_csr(neighbor_sets: List[set]) -> Tuple[np.ndarray, np.ndarray]:
+    n_peers = len(neighbor_sets)
+    degrees = np.fromiter(
+        (len(s) for s in neighbor_sets), dtype=np.int64, count=n_peers
+    )
+    indptr = np.zeros(n_peers + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    adj = np.empty(int(indptr[-1]), dtype=np.int64)
+    for i, neighbors in enumerate(neighbor_sets):
+        adj[indptr[i]:indptr[i + 1]] = sorted(neighbors)
+    return indptr, adj
+
+
+def _random_neighbor_sets(n_peers: int, seed: int) -> List[set]:
+    """Symmetric random sets over ``0..n_peers-1``, a quarter of the rows tombstoned."""
+    rng = np.random.default_rng(seed)
+    sets: List[set] = [set() for _ in range(n_peers)]
+    dead = set(rng.choice(n_peers, size=n_peers // 4, replace=False).tolist()) if n_peers else set()
+    for _ in range(n_peers * 4):
+        a, b = (int(x) for x in rng.integers(0, n_peers, size=2))
+        if a != b and a not in dead and b not in dead:
+            sets[a].add(b)
+            sets[b].add(a)
+    return sets
+
+
+class TestNeighborSetsToCsr:
+    @pytest.mark.parametrize(
+        "neighbor_sets",
+        [
+            [],
+            [set()],
+            [set(), set(), set()],
+            [{1}, {0}],
+            [{3, 1, 2}, {0}, {0}, {0}],
+            [set(), {5, 2}, {1}, set(), set(), {1}],
+        ],
+    )
+    def test_matches_per_row_loop_on_small_cases(self, neighbor_sets):
+        indptr, adj = neighbor_sets_to_csr(neighbor_sets)
+        expected_indptr, expected_adj = _per_row_neighbor_sets_to_csr(neighbor_sets)
+        assert indptr.dtype == adj.dtype == np.int64
+        np.testing.assert_array_equal(indptr, expected_indptr)
+        np.testing.assert_array_equal(adj, expected_adj)
+
+    @pytest.mark.parametrize("n_peers", [1, 2, 17, 300, 2_000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_row_loop_with_tombstoned_rows(self, n_peers, seed):
+        neighbor_sets = _random_neighbor_sets(n_peers, seed)
+        indptr, adj = neighbor_sets_to_csr(neighbor_sets)
+        expected_indptr, expected_adj = _per_row_neighbor_sets_to_csr(neighbor_sets)
+        assert indptr.dtype == adj.dtype == np.int64
+        np.testing.assert_array_equal(indptr, expected_indptr)
+        np.testing.assert_array_equal(adj, expected_adj)
+        # The input sets are left as they were.
+        assert neighbor_sets == _random_neighbor_sets(n_peers, seed)
