@@ -9,7 +9,8 @@ engines are driven through the public ``engine=`` switch with the same
 seed, and since they are trajectory-identical the timed work is the same
 simulation step for step -- the comparison is pure implementation cost.
 
-Run headlessly (writes ``BENCH_engine_scaling.json`` in the repo root):
+Run headlessly (writes ``BENCH_engine_scaling.json`` in the repo root, or in the
+gitignored ``.benchmarks/`` with ``--quick``):
 
     python benchmarks/bench_engine_scaling.py --quick     # 1k + 10k
     python benchmarks/bench_engine_scaling.py             # 1k + 10k + 100k
@@ -135,7 +136,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--output",
         type=Path,
         default=None,
-        help="where to write the JSON result (default: repo root)",
+        help="where to write the JSON result (default: repo root, or "
+        ".benchmarks/ with --quick)",
     )
     args = parser.parse_args(argv)
 

@@ -17,7 +17,8 @@ N(6, sigma) matching on a complete graph):
    the cold time (asserted unconditionally; replaying JSON beats
    re-simulating on any hardware).
 
-Run headlessly (writes ``BENCH_parallel_sweeps.json`` in the repo root):
+Run headlessly (writes ``BENCH_parallel_sweeps.json`` in the repo root, or in the
+gitignored ``.benchmarks/`` with ``--quick``):
 
     python benchmarks/bench_parallel_sweeps.py --quick    # CI gate sizes
     python benchmarks/bench_parallel_sweeps.py            # adds a deeper sweep
@@ -193,7 +194,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--output",
         type=Path,
         default=None,
-        help="where to write the JSON result (default: repo root)",
+        help="where to write the JSON result (default: repo root, or "
+        ".benchmarks/ with --quick)",
     )
     args = parser.parse_args(argv)
 

@@ -30,7 +30,8 @@ for ``swarm_scaling``, a 20k swarm for the others, absorbing a 10k-peer
 flash crowd for ``scenarios``).
 
 Run headlessly (writes one ``BENCH_<gate>.json`` per gate, in the repo
-root unless ``--output`` names another directory):
+root for a full run and in the gitignored ``.benchmarks/`` for a quick
+one, unless ``--output`` names another directory):
 
     python benchmarks/bench_swarm_speedup.py --quick     # 1k + 5k
     python benchmarks/bench_swarm_speedup.py             # + the showcase rows
@@ -56,7 +57,7 @@ if __name__ == "__main__":  # headless invocation: make src/ importable
 
 import numpy as np
 
-from conftest import REPO_ROOT, write_benchmark_json
+from conftest import default_output_dir, write_benchmark_json
 from repro.bittorrent.scenarios import ScenarioSchedule
 from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator, stratification_index
 
@@ -419,12 +420,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--output",
         type=Path,
         default=None,
-        help="directory for the BENCH_<gate>.json results (default: repo root)",
+        help="directory for the BENCH_<gate>.json results (default: repo root, "
+        "or .benchmarks/ with --quick)",
     )
     args = parser.parse_args(argv)
-    output = REPO_ROOT if args.output is None else args.output
-    output.mkdir(parents=True, exist_ok=True)
     mode = "quick" if args.quick else "full"
+    output = default_output_dir(mode) if args.output is None else args.output
+    output.mkdir(parents=True, exist_ok=True)
 
     failed: List[str] = []
     for gate in GATES:

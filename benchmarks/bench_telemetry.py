@@ -17,7 +17,8 @@ The full mode additionally runs the default-size campaign (40 leechers,
 produces the confirmed-download undercount the experiment exists to
 demonstrate.
 
-Run headlessly (writes ``BENCH_telemetry.json`` in the repo root):
+Run headlessly (writes ``BENCH_telemetry.json`` in the repo root, or in the
+gitignored ``.benchmarks/`` with ``--quick``):
 
     python benchmarks/bench_telemetry.py --quick    # CI smoke: small swarm
     python benchmarks/bench_telemetry.py            # + default-size campaign
@@ -198,7 +199,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--output",
         type=Path,
         default=None,
-        help="where to write the JSON result (default: repo root)",
+        help="where to write the JSON result (default: repo root, or "
+        ".benchmarks/ with --quick)",
     )
     args = parser.parse_args(argv)
 

@@ -20,14 +20,30 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def default_output_dir(mode: str) -> Path:
+    """Where a run in ``mode`` writes its artefacts when no output is named.
+
+    A full run writes to the repository root, where the committed
+    ``BENCH_*.json`` artefacts live.  A quick run writes to the gitignored
+    ``.benchmarks/`` directory, so it never overwrites a full-mode artefact.
+    """
+    return REPO_ROOT / ".benchmarks" if mode == "quick" else REPO_ROOT
+
+
 def write_benchmark_json(name: str, payload: dict, output: "Path | str | None" = None) -> Path:
     """Write a benchmark result payload to ``BENCH_<name>.json``.
 
-    The file lands in the repository root by default (next to CHANGES.md)
-    so successive runs are easy to diff; pass ``output`` to redirect.
-    Returns the path written.
+    The file lands in :func:`default_output_dir` of the payload's ``mode``
+    by default, so successive full runs are easy to diff against the
+    committed artefact; pass ``output`` to redirect.  Returns the path
+    written.
     """
-    path = Path(output) if output is not None else REPO_ROOT / f"BENCH_{name}.json"
+    if output is None:
+        directory = default_output_dir(payload.get("mode", "full"))
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"BENCH_{name}.json"
+    else:
+        path = Path(output)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -87,7 +86,7 @@ from repro.bittorrent.telemetry import (
     resolve_observer,
 )
 from repro.bittorrent.tracker import Tracker
-from repro.core.exceptions import ModelError, validate_engine
+from repro.core.exceptions import ModelError, is_count, validate_engine
 from repro.sim.random_source import RandomSource
 from repro.sim import streams
 
@@ -119,17 +118,6 @@ _COUNT_FIELDS = (
     "warmup_rounds",
     "optimistic_period",
 )
-
-
-def _is_count(value: Any) -> bool:
-    """Whether ``value`` is an integer: ``operator.index`` takes it and it is not a bool."""
-    if isinstance(value, bool):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 @dataclass
@@ -218,7 +206,7 @@ class SwarmConfig:
     def __post_init__(self) -> None:
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
-            if not _is_count(value):
+            if not is_count(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.leechers <= 1:
             raise ValueError("need at least two leechers")

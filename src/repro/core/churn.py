@@ -8,30 +8,27 @@ which changes after every churn event.  The finding reproduced here: the
 average disorder stays under control and is roughly proportional to the
 churn rate.
 
-The simulation supports both matching backends through
-``ChurnConfig.engine``: the reference dictionary engine, and the
-vectorized array engine of :mod:`repro.core.fast`, which rebuilds its CSR
-snapshot after every churn event (events are rare relative to initiatives,
-so the rebuild amortizes) and runs the initiative/disorder hot loop on
-arrays.  Both engines consume the random streams identically and produce
-bit-identical disorder trajectories.
+:func:`simulate_churn` draws every churn stream and mutates the acceptance
+graph itself, and drives a
+:class:`~repro.core.dynamics.ConvergenceSimulator` for the rest: its
+leave/join/refresh hooks after each event, one initiative per step and
+the disorder samples.  ``ChurnConfig.engine`` picks the simulator's
+backend; the fast one rebuilds its CSR snapshot and stable table on every
+refresh.  Both engines produce bit-identical disorder trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.core.acceptance import AcceptanceGraph
-from repro.core.exceptions import ModelError, validate_engine
-from repro.core.initiatives import make_strategy
-from repro.core.matching import Matching
-from repro.core.metrics import disorder
+from repro.core.dynamics import ConvergenceSimulator, horizon_error
+from repro.core.exceptions import ModelError, is_count, validate_engine
+from repro.core.initiatives import STRATEGY_NAMES
 from repro.core.peer import Peer, PeerPopulation
-from repro.core.ranking import GlobalRanking
-from repro.core.stable import stable_configuration
 from repro.sim.random_source import RandomSource
 from repro.sim.recorder import TimeSeries
 from repro.sim import streams
@@ -46,23 +43,28 @@ class ChurnConfig:
     Attributes
     ----------
     n:
-        Initial (and target) number of peers.
+        Initial (and target) number of peers, an integer of at least 2.
     expected_degree:
         Expected acceptance degree d of new and existing peers.
     churn_rate:
-        Expected number of churn events per initiative.  The paper's
-        "churn = 30/1000" corresponds to ``churn_rate = 0.03``.
+        Probability of a churn event per initiative, in [0, 1].  The
+        paper's "churn = 30/1000" corresponds to ``churn_rate = 0.03``.
     slots:
-        Slot budget of every peer (the paper uses 1-matching).
+        Slot budget of every peer, an integer (the paper uses 1-matching).
     max_base_units:
-        Simulation horizon in initiatives per peer.
+        Simulation horizon in initiatives per peer, finite and positive.
     samples_per_base_unit:
-        Disorder samples recorded per base unit.
+        Disorder samples recorded per base unit, a positive integer.
     strategy:
-        Initiative strategy name.
+        Initiative strategy name: ``"best-mate"``, ``"decremental"`` or
+        ``"random"``.
     engine:
         Matching backend: ``"reference"`` (default) or ``"fast"`` (the
-        array engine; identical trajectories, much faster at large n).
+        array engine; identical trajectories, but it rebuilds its arrays
+        on every churn event).
+
+    A field that cannot describe a run raises :class:`ModelError` naming
+    it.
     """
 
     n: int = 1000
@@ -75,12 +77,28 @@ class ChurnConfig:
     engine: str = "reference"
 
     def __post_init__(self) -> None:
+        for name in ("n", "slots"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         if self.n <= 1:
-            raise ModelError("churn simulation needs at least two peers")
-        if self.churn_rate < 0:
-            raise ModelError("churn rate cannot be negative")
+            raise ModelError(f"n must be at least 2 (churn needs two peers), got {self.n}")
+        if not 0.0 <= self.churn_rate <= 1.0:
+            raise ModelError(
+                f"churn_rate must be finite and in [0, 1], got {self.churn_rate!r}"
+            )
         if self.expected_degree < 0:
-            raise ModelError("expected degree cannot be negative")
+            raise ModelError(
+                f"expected_degree cannot be negative, got {self.expected_degree!r}"
+            )
+        problem = horizon_error(self.max_base_units, self.samples_per_base_unit)
+        if problem is not None:
+            raise ModelError(problem)
+        if self.strategy not in STRATEGY_NAMES:
+            raise ModelError(
+                f"strategy must be one of {', '.join(STRATEGY_NAMES)}, "
+                f"got {self.strategy!r}"
+            )
         validate_engine(self.engine)
 
 
@@ -94,87 +112,6 @@ class ChurnSimulation:
     initiatives: int
     mean_disorder: float
     final_population_size: int
-
-
-class _ReferenceChurnEngine:
-    """Dictionary-backed matching state for the churn loop."""
-
-    def __init__(self, acceptance: AcceptanceGraph, strategy: str) -> None:
-        self.acceptance = acceptance
-        self.matching = Matching(acceptance)
-        self.strategy = make_strategy(strategy)
-        self.ranking: GlobalRanking = GlobalRanking.from_population(
-            acceptance.population
-        )
-        self.stable: Matching = Matching(acceptance)
-
-    def remove_peer(self, peer_id: int) -> None:
-        self.matching.remove_peer(peer_id)
-
-    def add_peer(self, peer_id: int) -> None:
-        self.matching.add_peer(peer_id)
-
-    def refresh(self) -> None:
-        """Recompute the ranking and instantaneous stable configuration."""
-        self.ranking = GlobalRanking.from_population(self.acceptance.population)
-        self.stable = stable_configuration(self.acceptance, self.ranking)
-
-    def step(self, rng: np.random.Generator) -> None:
-        peer_ids = self.acceptance.peer_ids()
-        peer_id = peer_ids[int(rng.integers(len(peer_ids)))]
-        self.strategy.take_initiative(self.matching, self.ranking, peer_id, rng)
-
-    def disorder(self) -> float:
-        return disorder(self.matching, self.stable, self.ranking)
-
-
-class _FastChurnEngine:
-    """Array-backed matching state for the churn loop.
-
-    The CSR snapshot is immutable, so churn events stash the surviving
-    matched pairs and ``refresh`` rebuilds the arrays from the mutated
-    acceptance graph.  Initiatives and disorder sampling -- the hot path --
-    run entirely on the rebuilt arrays.
-    """
-
-    def __init__(self, acceptance: AcceptanceGraph, strategy: str) -> None:
-        from repro.core.fast.dynamics import make_fast_strategy
-
-        self.acceptance = acceptance
-        self.strategy = make_fast_strategy(strategy)
-        self._pairs: List[Tuple[int, int]] = []
-        self.matching = None
-        self._stable_sorted = None
-
-    def remove_peer(self, peer_id: int) -> None:
-        self._pairs = [
-            pair for pair in self.matching.pairs() if peer_id not in pair
-        ]
-
-    def add_peer(self, peer_id: int) -> None:
-        del peer_id  # a fresh peer joins unmatched
-        self._pairs = self.matching.pairs()
-
-    def refresh(self) -> None:
-        """Rebuild the CSR snapshot and the instantaneous stable table."""
-        from repro.core.fast.arrays import PeerArrays
-        from repro.core.fast.engine import FastMatching, fast_stable_table
-
-        ranking = GlobalRanking.from_population(self.acceptance.population)
-        arrays = PeerArrays.build(self.acceptance, ranking)
-        matching = FastMatching(arrays)
-        matching.load_pairs(self._pairs)
-        self.matching = matching
-        self._stable_sorted = fast_stable_table(arrays).sorted_rank_table()
-
-    def step(self, rng: np.random.Generator) -> None:
-        # arrays index i <-> sorted peer id i: drawing an index reproduces
-        # the reference engine's uniform choice over sorted peer ids.
-        peer = int(rng.integers(self.matching.arrays.n))
-        self.strategy.take_initiative(self.matching, peer, rng)
-
-    def disorder(self) -> float:
-        return self.matching.disorder(self._stable_sorted)
 
 
 def simulate_churn(config: ChurnConfig, *, seed: int = 0) -> ChurnSimulation:
@@ -201,21 +138,21 @@ def simulate_churn(config: ChurnConfig, *, seed: int = 0) -> ChurnSimulation:
         population, expected_degree=config.expected_degree, rng=graph_rng
     )
 
-    if config.engine == "fast":
-        engine = _FastChurnEngine(acceptance, config.strategy)
-    else:
-        engine = _ReferenceChurnEngine(acceptance, config.strategy)
-    engine.refresh()
+    simulator = ConvergenceSimulator(
+        acceptance, strategy=config.strategy, source=source, engine=config.engine
+    )
+    simulator.load()
+    take_initiative = simulator.bind_initiative()
 
     trajectory = TimeSeries("disorder")
     total_steps = int(round(config.max_base_units * config.n))
-    sample_every = max(1, config.n // max(1, config.samples_per_base_unit))
+    sample_every = max(1, config.n // config.samples_per_base_unit)
 
     churn_events = 0
     initiatives = 0
     disorder_samples: List[float] = []
 
-    current = engine.disorder()
+    current = simulator.disorder()
     trajectory.append(0.0, current)
 
     for step in range(1, total_steps + 1):
@@ -223,22 +160,22 @@ def simulate_churn(config: ChurnConfig, *, seed: int = 0) -> ChurnSimulation:
         if config.churn_rate > 0 and churn_rng.random() < config.churn_rate:
             if churn_rng.random() < 0.5 and len(population) > 2:
                 victim = _choose_victim(population, churn_rng)
-                engine.remove_peer(victim)
+                simulator.leave(victim)
                 acceptance.remove_peer(victim)
             else:
-                new_id = _add_fresh_peer(
-                    population, acceptance, config, churn_rng, score_rng
+                simulator.join(
+                    _add_fresh_peer(population, acceptance, config, churn_rng, score_rng)
                 )
-                engine.add_peer(new_id)
-            engine.refresh()
+            simulator.refresh()
+            take_initiative = simulator.bind_initiative()
             churn_events += 1
 
         # -- one initiative ----------------------------------------------------
-        engine.step(initiative_rng)
+        take_initiative(int(initiative_rng.integers(len(population))), initiative_rng)
         initiatives += 1
 
         if step % sample_every == 0 or step == total_steps:
-            current = engine.disorder()
+            current = simulator.disorder()
             trajectory.append(step / config.n, current)
             disorder_samples.append(current)
 

@@ -1,6 +1,9 @@
-"""Exceptions raised by the stable-matching core."""
+"""Exceptions raised by the stable-matching core, and the checks that raise them."""
 
 from __future__ import annotations
+
+import operator
+from typing import Any
 
 __all__ = [
     "ModelError",
@@ -9,6 +12,7 @@ __all__ = [
     "UnknownPeerError",
     "ENGINES",
     "validate_engine",
+    "is_count",
 ]
 
 
@@ -41,3 +45,14 @@ def validate_engine(engine: str) -> str:
             f"unknown engine '{engine}' (available: {', '.join(ENGINES)})"
         )
     return engine
+
+
+def is_count(value: Any) -> bool:
+    """Whether ``value`` is an integer: ``operator.index`` takes it and it is not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True

@@ -10,9 +10,11 @@ ideal for correctness (every operation validates its invariants) but every
 initiative walks Python dictionaries edge by edge, which caps practical
 swarm sizes at a few thousand peers.
 
-This subpackage re-expresses the whole model as flat numpy arrays so that
-the per-initiative work becomes a handful of vectorized operations over a
-single neighborhood slice:
+This subpackage re-expresses the model's state as flat numpy arrays so
+that the per-initiative work becomes a handful of vectorized operations
+over a single neighborhood slice.  The Section 3 process itself is not
+repeated here: it is written once, in
+:class:`repro.core.dynamics.ConvergenceSimulator`.
 
 * :mod:`repro.core.fast.arrays` -- :class:`PeerArrays`, an immutable
   CSR-style snapshot of the acceptance graph.  Peers are densely indexed
@@ -34,12 +36,12 @@ single neighborhood slice:
   Algorithm 1 (:func:`fast_stable_table`) and the fully vectorized
   disorder metric.
 
-* :mod:`repro.core.fast.dynamics` -- :class:`FastConvergenceSimulator`,
-  a drop-in replacement for
-  :class:`repro.core.dynamics.ConvergenceSimulator` that replays the
-  Section 3 initiative process.  It consumes the shared
-  :class:`repro.sim.random_source.RandomSource` streams draw-for-draw like
-  the reference simulator, so the two engines produce *bit-identical*
+* :mod:`repro.core.fast.dynamics` -- the three strategies on arrays and
+  :class:`FastConvergenceSimulator`, the array backend of
+  :class:`repro.core.dynamics.ConvergenceSimulator`.  It inherits the
+  initiative protocol (which draws every stream and picks the initiating
+  peers) and overrides only the hooks that load, change, compare and
+  return the configuration, so the two engines produce *bit-identical*
   disorder trajectories and final configurations -- the reference engine
   stays the correctness oracle (see ``tests/test_engine_equivalence.py``).
 
@@ -48,12 +50,15 @@ Choosing a backend
 
 Everything here is reachable through the ``engine="fast"`` switch on the
 public entry points (:class:`repro.core.dynamics.ConvergenceSimulator`,
+which builds a :class:`FastConvergenceSimulator` for it,
 :func:`repro.core.stable.stable_configuration`,
 :func:`repro.core.churn.simulate_churn`, the stratification pipelines).
 Use ``"fast"`` for large systems (n >= a few thousand) or long horizons;
 use ``"reference"`` (the default) when single-step introspection,
 custom :class:`~repro.core.initiatives.InitiativeStrategy` subclasses or
-maximum-transparency debugging matter more than throughput.
+maximum-transparency debugging matter more than throughput.  Under churn
+the fast backend rebuilds its arrays and stable table on every event,
+which at Figure 3's churn rates makes it slower than the reference.
 """
 
 from repro.core.fast.arrays import PeerArrays

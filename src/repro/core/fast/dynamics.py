@@ -1,23 +1,27 @@
 """Vectorized convergence dynamics (the ``engine="fast"`` backend).
 
-:class:`FastConvergenceSimulator` replays the Section 3 initiative process
-of :class:`repro.core.dynamics.ConvergenceSimulator` on the array engine.
-The two implementations are kept *trajectory-identical*: they draw the
-initiating peer, scan candidates and consume every random stream in the
-same order, so a shared :class:`~repro.sim.random_source.RandomSource`
-seed yields bit-identical disorder trajectories and final configurations.
-That contract is what lets the reference engine act as the correctness
-oracle in ``tests/test_engine_equivalence.py``.
+:class:`FastConvergenceSimulator` is the array backend of
+:class:`repro.core.dynamics.ConvergenceSimulator`: it inherits the Section
+3 initiative process (the stream draws, the initiating-peer choice, the
+disorder sampling and the churn hooks' call order) and overrides only the
+hooks that store and change the configuration.  The fast strategies below
+scan candidates and consume the generator they are handed in the
+reference strategies' order, so a shared
+:class:`~repro.sim.random_source.RandomSource` seed yields bit-identical
+disorder trajectories and final configurations on both engines.  That
+contract is what lets the reference engine act as the correctness oracle
+in ``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.acceptance import AcceptanceGraph
-from repro.core.dynamics import ConvergenceResult
+from repro.core.dynamics import ConvergenceSimulator
 from repro.core.exceptions import ModelError
 from repro.core.fast.arrays import PeerArrays
 from repro.core.fast.engine import FastMatching, fast_stable_table
@@ -30,8 +34,6 @@ from repro.core.initiatives import (
 from repro.core.matching import Matching
 from repro.core.ranking import GlobalRanking
 from repro.sim.random_source import RandomSource
-from repro.sim.recorder import TimeSeries
-from repro.sim import streams
 
 __all__ = [
     "FastInitiativeStrategy",
@@ -172,88 +174,74 @@ def make_fast_strategy(
     return _FAST_STRATEGIES[name]()
 
 
-class FastConvergenceSimulator:
-    """Array-engine twin of :class:`repro.core.dynamics.ConvergenceSimulator`.
+class FastConvergenceSimulator(ConvergenceSimulator):
+    """The array backend of :class:`~repro.core.dynamics.ConvergenceSimulator`.
 
-    Parameters mirror the reference simulator; ``run`` returns the same
-    :class:`~repro.core.dynamics.ConvergenceResult` (with the final
-    configuration converted back to a reference ``Matching``).
+    Takes the simulator's arguments (``engine`` may be left out); normally
+    reached through ``ConvergenceSimulator(..., engine="fast")``.  It
+    inherits the initiative protocol (``run``) and overrides the backend
+    hooks on a :class:`PeerArrays` snapshot, its stable table and a
+    :class:`FastMatching`.  ``run`` returns the final configuration
+    converted back to a reference ``Matching``.
     """
+
+    engine = "fast"
+    strategy: FastInitiativeStrategy
+    matching: FastMatching
 
     def __init__(
         self,
         acceptance: AcceptanceGraph,
         strategy: Union[str, InitiativeStrategy, FastInitiativeStrategy] = "best-mate",
         source: Optional[RandomSource] = None,
+        *,
+        engine: Optional[str] = None,
     ) -> None:
-        self.acceptance = acceptance
-        self.ranking = GlobalRanking.from_population(acceptance.population)
-        self.arrays = PeerArrays.build(acceptance, self.ranking)
-        self.strategy = make_fast_strategy(strategy)
-        self.source = source if source is not None else RandomSource(0)
+        super().__init__(acceptance, make_fast_strategy(strategy), source, engine=engine)
+
+    def _solve(self) -> None:
+        self.ranking = GlobalRanking.from_population(self.acceptance.population)
+        self.arrays = PeerArrays.build(self.acceptance, self.ranking)
         self.stable_table = fast_stable_table(self.arrays)
         self._stable_sorted = self.stable_table.sorted_rank_table()
 
-    def stable_matching(self) -> Matching:
-        """The stable configuration as a reference ``Matching``."""
+    @property
+    def stable(self) -> Matching:
+        """The stable table converted to a reference ``Matching``."""
         return self.stable_table.to_matching(self.acceptance)
 
-    def run(
-        self,
-        *,
-        initial: Optional[Union[Matching, FastMatching]] = None,
-        max_base_units: float = 50.0,
-        samples_per_base_unit: int = 4,
-        stop_when_stable: bool = True,
-    ) -> ConvergenceResult:
-        """Run the initiative process; see the reference ``run`` for semantics."""
-        matching = FastMatching(self.arrays)
-        if isinstance(initial, FastMatching):
-            matching.load_pairs(initial.pairs())
-        elif initial is not None:
-            matching.load_matching(initial)
-        n = self.arrays.n
-        if n == 0:
-            raise ValueError("cannot simulate an empty population")
-        rng = self.source.stream(streams.INITIATIVES)
+    def load(self, initial: Optional[Union[Matching, FastMatching]] = None) -> None:
+        self.matching = FastMatching(self.arrays)
+        if initial is not None:
+            self.matching.load_pairs(initial.pairs())
 
-        trajectory = TimeSeries("disorder")
-        total_steps = int(round(max_base_units * n))
-        sample_every = max(1, n // max(1, samples_per_base_unit))
+    def bind_initiative(self) -> Callable[[int, np.random.Generator], bool]:
+        # Dense index i is the i-th sorted peer id, so the protocol's draw
+        # picks the same peer as on the reference engine.
+        return partial(self.strategy.take_initiative, self.matching)
 
-        initiatives = 0
-        active = 0
-        time_to_converge: Optional[float] = None
+    def disorder(self) -> float:
+        return self.matching.disorder(self._stable_sorted)
 
-        current_disorder = matching.disorder(self._stable_sorted)
-        trajectory.append(0.0, current_disorder)
-        if current_disorder == 0.0:
-            time_to_converge = 0.0
+    def converged(self) -> bool:
+        return bool((self.matching.sorted_rank_table() == self._stable_sorted).all())
 
-        take_initiative = self.strategy.take_initiative
-        for step in range(1, total_steps + 1):
-            peer = int(rng.integers(n))
-            if take_initiative(matching, peer, rng):
-                active += 1
-            initiatives += 1
+    def final_matching(self) -> Matching:
+        return self.matching.to_matching(self.acceptance)
 
-            if step % sample_every == 0 or step == total_steps:
-                base_units = step / n
-                current_disorder = matching.disorder(self._stable_sorted)
-                trajectory.append(base_units, current_disorder)
-                if current_disorder == 0.0 and time_to_converge is None:
-                    time_to_converge = base_units
-                    if stop_when_stable:
-                        break
+    # The CSR snapshot is immutable: a leave or a join keeps the surviving
+    # pairs, and refresh rebuilds the arrays and reloads them.
 
-        converged = bool(
-            (matching.sorted_rank_table() == self._stable_sorted).all()
-        )
-        return ConvergenceResult(
-            trajectory=trajectory,
-            initiatives=initiatives,
-            active_initiatives=active,
-            converged=converged,
-            time_to_converge=time_to_converge,
-            final_matching=matching.to_matching(self.acceptance),
-        )
+    def leave(self, peer_id: int) -> None:
+        self._survivors: List[Tuple[int, int]] = [
+            pair for pair in self.matching.pairs() if peer_id not in pair
+        ]
+
+    def join(self, peer_id: int) -> None:
+        del peer_id  # a fresh peer joins unmatched
+        self._survivors = self.matching.pairs()
+
+    def refresh(self) -> None:
+        self._solve()
+        self.load()
+        self.matching.load_pairs(self._survivors)

@@ -31,6 +31,7 @@ __all__ = [
     "BestMateInitiative",
     "DecrementalInitiative",
     "RandomInitiative",
+    "STRATEGY_NAMES",
     "make_strategy",
     "apply_initiative",
 ]
@@ -168,6 +169,9 @@ _STRATEGIES = {
     "decremental": DecrementalInitiative,
     "random": RandomInitiative,
 }
+
+#: The three strategy names, which both matching engines implement.
+STRATEGY_NAMES = tuple(_STRATEGIES)
 
 
 def make_strategy(name: str) -> InitiativeStrategy:

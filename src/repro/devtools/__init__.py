@@ -7,9 +7,8 @@ named-stream determinism contract statically:
 * **RPD001** -- seedless or global-state RNG construction outside
   ``sim/random_source.py``;
 * **RPD002** -- stream names not declared in the
-  :mod:`repro.sim.streams` registry, plus the cross-engine parity check
-  that ``core/`` vs ``core/fast/`` consume the same engine-paired stream
-  sets (the swarm engines share one round protocol, so they need none);
+  :mod:`repro.sim.streams` registry, or registered names spelled as bare
+  literals instead of registry constants;
 * **RPD003** -- iteration over a bare ``set``/``dict`` in a function
   that also touches an rng or stream (hash-order-dependent draw order);
 * **RPD004** -- wall-clock access inside simulation modules;

@@ -1,4 +1,4 @@
-"""The ``repro-p2p-lint`` driver: scan, parity-check, baseline, report.
+"""The ``repro-p2p-lint`` driver: scan, baseline, report.
 
 Usage::
 
@@ -19,22 +19,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, Set, TextIO
 
 from repro.devtools import baseline as baseline_mod
 from repro.devtools.rules import RULES, FileLintResult, Finding, lint_source
-from repro.sim import streams
 
 __all__ = ["run_lint", "json_report", "main", "REPORT_VERSION"]
 
 REPORT_VERSION = 1
-
-#: Engine pairs subject to the cross-engine stream-parity check:
-#: (domain, reference-tree fragment, fast-tree fragment).  The swarm has
-#: no pair: one round protocol draws every swarm stream for both engines.
-ENGINE_PAIRS: Tuple[Tuple[str, str, str], ...] = (
-    ("core", "repro/core/", "repro/core/fast/"),
-)
 
 
 def iter_python_files(targets: Sequence[Path]) -> List[Path]:
@@ -74,55 +66,10 @@ class LintRun:
         return out
 
 
-def _parity_findings(consumption: Dict[str, Set[str]]) -> List[Finding]:
-    """Cross-engine parity: both trees of a pair consume the same paired set."""
-    findings: List[Finding] = []
-    for domain, reference_fragment, fast_fragment in ENGINE_PAIRS:
-        reference: Set[str] = set()
-        fast: Set[str] = set()
-        reference_seen = fast_seen = False
-        for path, names in consumption.items():
-            posix = path.replace("\\", "/")
-            if fast_fragment in posix:
-                fast_seen = True
-                fast.update(names)
-            elif reference_fragment in posix:
-                reference_seen = True
-                reference.update(names)
-        if not (reference_seen and fast_seen):
-            continue  # partial scans cannot judge parity
-        paired = streams.paired_names(domain)
-        reference &= paired
-        fast &= paired
-        if reference == fast:
-            continue
-        only_reference = sorted(reference - fast)
-        only_fast = sorted(fast - reference)
-        detail = []
-        if only_reference:
-            detail.append(f"only in the reference tree: {', '.join(only_reference)}")
-        if only_fast:
-            detail.append(f"only in the fast tree: {', '.join(only_fast)}")
-        findings.append(
-            Finding(
-                fast_fragment.rstrip("/"),
-                1,
-                1,
-                "RPD002",
-                f"engine-pair stream parity broken for domain {domain!r} "
-                f"({'; '.join(detail)}): both trees must consume the same "
-                f"engine-paired streams or bit-identity under a shared seed "
-                f"cannot hold",
-            )
-        )
-    return findings
-
-
 def run_lint(
     targets: Sequence[Path | str],
     *,
     baseline_path: Optional[Path] = None,
-    parity: bool = True,
 ) -> LintRun:
     """Lint the given files/directories and return the full result."""
     run = LintRun()
@@ -133,8 +80,6 @@ def run_lint(
         run.files.append(path.as_posix())
         run.findings.extend(result.findings)
         run.consumption[path.as_posix()] = result.consumed_streams
-    if parity:
-        run.findings.extend(_parity_findings(run.consumption))
     if baseline_path is not None:
         counts = baseline_mod.load_baseline(baseline_path)
         run.findings, run.baseline_summary = baseline_mod.apply_baseline(
@@ -252,11 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write current active findings to the baseline file and exit 0",
     )
-    parser.add_argument(
-        "--no-parity",
-        action="store_true",
-        help="skip the cross-engine stream-parity check",
-    )
     return parser
 
 
@@ -286,7 +226,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run = run_lint(
             args.targets,
             baseline_path=None if args.write_baseline else baseline_path,
-            parity=not args.no_parity,
         )
     except (FileNotFoundError, ValueError) as error:
         print(f"repro-p2p-lint: {error}", file=sys.stderr)

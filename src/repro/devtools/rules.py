@@ -1,9 +1,8 @@
 """AST rules of the determinism linter.
 
 Each rule has a stable ``RPDxxx`` code (Repro-P2p-Determinism).  The
-implementation is a single AST pass per file (:class:`FileLinter`) plus a
-whole-run cross-engine parity check that the driver in
-:mod:`repro.devtools.lint` performs once all files are scanned.
+implementation is a single AST pass per file (:class:`FileLinter`); the
+driver in :mod:`repro.devtools.lint` runs it over every file.
 
 The rules are deliberately *syntactic*: they over-approximate the dynamic
 behaviour (e.g. any local assigned from a ``set()`` call counts as a set
@@ -35,7 +34,7 @@ RULES: Mapping[str, str] = {
     "RPD000": "malformed determinism pragma (missing code list or justification)",
     "RPD001": "seedless or global-state RNG construction outside sim/random_source.py",
     "RPD002": "stream name not declared in the repro.sim.streams registry "
-    "(or engine trees consume different paired stream sets)",
+    "(or spelled as a bare literal instead of its registry constant)",
     "RPD003": "iteration over a bare set/dict in a function that touches an rng/stream",
     "RPD004": "wall-clock access in a simulation module",
     "RPD005": "deprecated *_kb spelling (unit renamed to *_kbit)",

@@ -9,20 +9,14 @@ The paper's model restricts collaborations to pairs present in an
   generator used throughout Sections 3 and 5.
 * :mod:`repro.graphs.complete` -- complete acceptance graphs (Section 4's
   "toy model").
-* :mod:`repro.graphs.generators` -- additional generators (random regular,
-  ring lattices, configuration model) used for ablations.
 * :mod:`repro.graphs.components` -- connected-component and cluster-size
   analysis.
-* :mod:`repro.graphs.properties` -- degree statistics, clustering
-  coefficient and distance estimates.
 """
 
 from repro.graphs.base import UndirectedGraph
 from repro.graphs.complete import complete_graph
 from repro.graphs.components import cluster_sizes, connected_components, largest_component_size
 from repro.graphs.erdos_renyi import erdos_renyi_graph, expected_degree_to_probability
-from repro.graphs.generators import random_regular_graph, ring_lattice
-from repro.graphs.properties import clustering_coefficient, degree_histogram, mean_degree
 
 __all__ = [
     "UndirectedGraph",
@@ -32,9 +26,4 @@ __all__ = [
     "largest_component_size",
     "erdos_renyi_graph",
     "expected_degree_to_probability",
-    "random_regular_graph",
-    "ring_lattice",
-    "degree_histogram",
-    "mean_degree",
-    "clustering_coefficient",
 ]

@@ -4,27 +4,28 @@ Every stochastic component draws its randomness from a *named* child
 stream of a :class:`~repro.sim.random_source.RandomSource`.  The names are
 the contract that keeps ``engine="fast"`` and ``engine="reference"``
 bit-identical under a shared seed: every stream must see the same draws,
-in the same per-round order, whichever engine runs.  The swarm simulator
-gets this by construction -- one round protocol
-(:class:`repro.bittorrent.swarm.SwarmSimulator`) draws every swarm stream
-and the engines differ only in how they store the swarm -- so its streams
-are not engine-paired.  The matching dynamics still consume
-``initiatives`` in both engine trees.
+in the same order, whichever engine runs.  Both simulators get this by
+construction: one protocol draws every stream for both engines -- the
+swarm's round protocol (:class:`repro.bittorrent.swarm.SwarmSimulator`)
+and the matching dynamics' initiative protocol
+(:class:`repro.core.dynamics.ConvergenceSimulator`, which the churn
+driver reuses) -- and the engines differ only in how they store their
+state.  No fast backend fetches a stream; it is handed generators.
 
 This module is the single place where stream names are declared.  Code
 must consume streams through the constants below (``streams.BANDWIDTH``,
 never the bare literal ``"bandwidth"``); the determinism linter
 (:mod:`repro.devtools.lint`, rule RPD002) rejects string-literal stream
-names that are not declared here and checks that the reference and fast
-engine trees consume the same *engine-paired* stream sets.
+names that are not declared here.
 
 Adding a new stochastic feature therefore means:
 
-1. declare its stream here (constant + :class:`StreamSpec` entry, with
-   ``engine_paired=True`` if both engine trees of a pair will consume it);
-2. consume it via ``source.stream(streams.YOUR_STREAM)``;
-3. run ``repro-p2p-lint src`` -- an undeclared or unpaired stream is a
-   lint failure, not a 60-second equivalence-test failure.
+1. declare its stream here (constant + :class:`StreamSpec` entry);
+2. consume it via ``source.stream(streams.YOUR_STREAM)`` in the shared
+   protocol, and hand the generator to any engine backend that draws
+   from it;
+3. run ``repro-p2p-lint src`` -- an undeclared stream is a lint failure,
+   not a 60-second equivalence-test failure.
 
 See ``docs/determinism.md`` for the full discipline.
 """
@@ -58,7 +59,6 @@ __all__ = [
     "registered_names",
     "is_registered",
     "spec",
-    "paired_names",
     "constant_map",
 ]
 
@@ -74,20 +74,12 @@ class StreamSpec:
     domain:
         Which subsystem owns the stream (``"core"`` for the matching
         dynamics, ``"bittorrent"`` for the swarm simulator).
-    engine_paired:
-        Whether the stream is consumed inside *both* trees of an
-        engine pair (``core/`` vs ``core/fast/``).  Paired streams are
-        subject to the linter's cross-engine parity check; unpaired
-        streams live in shared drivers (the swarm's round protocol among
-        them), analysis modules or observers that have no fast
-        counterpart.
     description:
         What the stream's draws decide.
     """
 
     name: str
     domain: str
-    engine_paired: bool
     description: str
 
 
@@ -142,48 +134,41 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             GRAPH,
             "core",
-            False,
             "acceptance-graph edges; consumed by shared drivers before the "
             "engine split, so both engines see identical graphs",
         ),
         StreamSpec(
             CHURN,
             "core",
-            False,
             "churn event timing and join/leave/victim draws in the shared "
             "churn driver",
         ),
         StreamSpec(
             SCORES,
             "core",
-            False,
             "fresh peer scores under churn (shared driver)",
         ),
         StreamSpec(
             INITIATIVES,
             "core",
-            True,
             "initiating-peer and proposal-target draws of the convergence "
-            "dynamics; consumed by both the reference and the fast engine",
+            "dynamics; drawn by the shared initiative protocol",
         ),
         StreamSpec(
             BANDWIDTH,
             "bittorrent",
-            False,
             "leecher upload capacities, for the initial population and for "
             "scenario arrivals; drawn by the shared round protocol",
         ),
         StreamSpec(
             BOOTSTRAP,
             "bittorrent",
-            False,
             "bootstrap piece endowments of new leechers; drawn by the shared "
             "round protocol",
         ),
         StreamSpec(
             TRACKER,
             "bittorrent",
-            False,
             "tracker announce subsets (the swarm's acceptance graph); drawn "
             "by the shared round protocol (the fast engine's construction-"
             "time CSR build receives the generator from it)",
@@ -191,14 +176,12 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             SCENARIO,
             "bittorrent",
-            False,
             "per-round arrival counts of dynamic-membership scenarios; drawn "
             "by the shared round protocol",
         ),
         StreamSpec(
             BEHAVIOR,
             "bittorrent",
-            False,
             "per-peer behavior assignment (one batch per population /"
             " arrival batch) and locality-biased contact filtering; drawn by "
             "the shared round protocol",
@@ -206,7 +189,6 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             ROUNDS,
             "bittorrent",
-            False,
             "per-round swarm draws: optimistic unchokes and piece tie-breaks; "
             "drawn by the shared round protocol, which hands the generator to "
             "the engine's plan and apply passes",
@@ -214,21 +196,18 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             POPULATION,
             "bittorrent",
-            False,
             "slot-budget population sampling in the Section 6 strategy "
             "analysis (no fast counterpart)",
         ),
         StreamSpec(
             TELEMETRY_POLL,
             "bittorrent",
-            False,
             "observer poll sampling; engine-agnostic by construction, so it "
             "is consumed outside both engine trees",
         ),
         StreamSpec(
             FAULT_LOSS,
             "bittorrent",
-            False,
             "per-round Bernoulli loss draws over the planned transfer pairs "
             "(one batch per faulty round, sorted pid-pair order); drawn by the "
             "shared round protocol",
@@ -236,7 +215,6 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             FAULT_CRASH,
             "bittorrent",
-            False,
             "crash-victim selection: one choice batch per scheduled crash "
             "event, over the sorted alive non-seed peers; drawn by the shared "
             "round protocol",
@@ -244,7 +222,6 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             FAULT_PARTITION,
             "bittorrent",
-            False,
             "partition-group assignment: one integer batch per round of a "
             "partition window, over the peers not yet assigned a side; drawn "
             "by the shared round protocol",
@@ -252,7 +229,6 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             TRACKER_SELECT,
             "bittorrent",
-            False,
             "preferred tracker replica per peer: one integer batch per "
             "population / arrival wave when the announce list has more than "
             "one replica (a single-tracker policy draws nothing); drawn by "
@@ -261,7 +237,6 @@ REGISTRY: Mapping[str, StreamSpec] = {
         StreamSpec(
             PEX_GOSSIP,
             "bittorrent",
-            False,
             "peer-exchange neighbor sampling: one bounded-draw batch per "
             "round of a total outage (and per announce queued with PEX on; "
             "a policy without PEX draws nothing); drawn by the shared round "
@@ -297,18 +272,6 @@ def is_registered(name: str) -> bool:
 def spec(name: str) -> StreamSpec:
     """The :class:`StreamSpec` for ``name`` (KeyError if undeclared)."""
     return REGISTRY[name]
-
-
-def paired_names(domain: str) -> FrozenSet[str]:
-    """Engine-paired stream names of ``domain`` (``"core"``/``"bittorrent"``).
-
-    These are the streams the linter requires both trees of the domain's
-    engine pair to consume; ``"bittorrent"`` has none, its one round
-    protocol drawing every swarm stream.
-    """
-    return frozenset(
-        s.name for s in REGISTRY.values() if s.domain == domain and s.engine_paired
-    )
 
 
 def constant_map() -> Dict[str, str]:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.acceptance import AcceptanceGraph
 from repro.core.churn import ChurnConfig, simulate_churn
 from repro.core.dynamics import ConvergenceSimulator, simulate_convergence, simulate_peer_removal
+from repro.core.exceptions import ModelError
 from repro.core.initiatives import (
     BestMateInitiative,
     DecrementalInitiative,
@@ -189,3 +190,68 @@ class TestChurn:
         config = ChurnConfig(n=100, expected_degree=6, churn_rate=0.05, max_base_units=10)
         result = simulate_churn(config, seed=4)
         assert 50 <= result.final_population_size <= 150
+
+
+# -- runs that cannot be described ---------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+# Bad horizons, rejected alike by ChurnConfig and by ConvergenceSimulator.run.
+_BAD_HORIZONS = [
+    ("max_base_units", -1),
+    ("max_base_units", NAN),
+    ("max_base_units", INF),
+    ("samples_per_base_unit", 0),
+    ("samples_per_base_unit", -3),
+    ("samples_per_base_unit", 2.5),
+]
+_BAD_CHURN_FIELDS = [
+    ("churn_rate", NAN),
+    ("churn_rate", 1.5),
+    ("churn_rate", INF),
+    *_BAD_HORIZONS,
+    ("n", 50.0),
+    ("slots", 1.5),
+    ("strategy", "bogus"),
+]
+
+
+def _churn_config(engine, **fields):
+    ChurnConfig(engine=engine, **fields)
+
+
+def _simulator_run(engine, **arguments):
+    acceptance = AcceptanceGraph.erdos_renyi(
+        PeerPopulation.ranked(20), expected_degree=4.0, rng=np.random.default_rng(0)
+    )
+    ConvergenceSimulator(acceptance, engine=engine).run(**arguments)
+
+
+def _simulate_convergence(engine, **arguments):
+    simulate_convergence(20, 4.0, engine=engine, **arguments)
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize(
+    "call, error, field, value",
+    [
+        *(
+            pytest.param(
+                _churn_config, ModelError, field, value, id=f"ChurnConfig-{field}={value}"
+            )
+            for field, value in _BAD_CHURN_FIELDS
+        ),
+        *(
+            pytest.param(
+                call, ValueError, field, value, id=f"{call.__name__[1:]}-{field}={value}"
+            )
+            for call in (_simulator_run, _simulate_convergence)
+            for field, value in _BAD_HORIZONS
+        ),
+    ],
+)
+def test_a_run_that_cannot_be_described_fails_fast_naming_the_field(
+    call, error, field, value, engine
+):
+    with pytest.raises(error, match=f"^{field} "):
+        call(engine, **{field: value})

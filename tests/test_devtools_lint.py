@@ -3,9 +3,9 @@
 Fixture snippets live in ``tests/lint_fixtures/``: for every rule there
 is a file the rule must fire on, a clean counterpart, and a
 pragma-suppressed variant.  On top of the per-rule coverage this module
-pins the pragma grammar (RPD000), the cross-engine parity check, the
-baseline mechanics, the JSON report schema, the CLI exit codes -- and
-that the real ``src/`` tree lints clean against the committed baseline.
+pins the pragma grammar (RPD000), the baseline mechanics, the JSON report
+schema, the CLI exit codes -- and that the real ``src/`` tree lints clean
+against the committed baseline.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ INJECTED_RPD001 = (
 )
 
 
-def lint_fixture(path: Path, *, parity: bool = False):
+def lint_fixture(path: Path):
     """Lint one fixture file/dir with no baseline (the unit under test)."""
-    return run_lint([path], baseline_path=None, parity=parity)
+    return run_lint([path], baseline_path=None)
 
 
 def active_codes(run) -> set:
@@ -129,30 +129,6 @@ def test_malformed_pragmas_raise_rpd000() -> None:
     assert "justification" in messages and "RPD999" in messages
 
 
-# -- cross-engine parity -------------------------------------------------------
-
-
-def test_parity_passes_when_trees_match() -> None:
-    run = lint_fixture(FIXTURES / "parity" / "ok", parity=True)
-    assert not run.active
-
-
-def test_parity_fires_when_fast_tree_drops_a_stream() -> None:
-    run = lint_fixture(FIXTURES / "parity" / "broken", parity=True)
-    parity = [f for f in run.active if f.code == "RPD002"]
-    assert parity, "dropping a paired stream from the fast tree must fail"
-    messages = " ".join(f.message for f in parity)
-    assert "initiatives" in messages
-    assert "parity" in messages
-
-
-def test_parity_skipped_on_partial_scans() -> None:
-    # Only the reference half in scope: parity cannot be judged, no finding.
-    reference_only = FIXTURES / "parity" / "broken" / "repro" / "core" / "dynamics.py"
-    run = lint_fixture(reference_only, parity=True)
-    assert not run.findings
-
-
 # -- baseline mechanics --------------------------------------------------------
 
 
@@ -161,18 +137,18 @@ def test_baseline_absorbs_and_reports_stale_entries(tmp_path: Path) -> None:
     bad.write_text(INJECTED_RPD001, encoding="utf-8")
     baseline_file = tmp_path / "lint_baseline.json"
 
-    first = run_lint([bad], baseline_path=None, parity=False)
+    first = run_lint([bad], baseline_path=None)
     assert first.exit_code == 1
     baseline_mod.write_baseline(baseline_file, first.active)
 
-    second = run_lint([bad], baseline_path=baseline_file, parity=False)
+    second = run_lint([bad], baseline_path=baseline_file)
     assert second.exit_code == 0
     assert [f.code for f in second.findings if f.baselined] == ["RPD001"]
     assert second.baseline_summary == {"consumed": 1, "unused": 0}
 
     # Fixing the debt leaves the baseline entry stale -- reported, not fatal.
     bad.write_text("x = 1\n", encoding="utf-8")
-    third = run_lint([bad], baseline_path=baseline_file, parity=False)
+    third = run_lint([bad], baseline_path=baseline_file)
     assert third.exit_code == 0
     assert third.baseline_summary == {"consumed": 0, "unused": 1}
 
@@ -182,12 +158,12 @@ def test_baseline_does_not_absorb_new_violations(tmp_path: Path) -> None:
     bad.write_text(INJECTED_RPD001, encoding="utf-8")
     baseline_file = tmp_path / "lint_baseline.json"
     baseline_mod.write_baseline(
-        baseline_file, run_lint([bad], baseline_path=None, parity=False).active
+        baseline_file, run_lint([bad], baseline_path=None).active
     )
 
     bad.write_text(INJECTED_RPD001 + "\nimport random\ny = random.random()\n",
                    encoding="utf-8")
-    run = run_lint([bad], baseline_path=baseline_file, parity=False)
+    run = run_lint([bad], baseline_path=baseline_file)
     assert run.exit_code == 1
     assert [f.code for f in run.active] == ["RPD001"]  # only the new site
 
@@ -234,7 +210,7 @@ def test_json_report_schema(capsys: pytest.CaptureFixture) -> None:
 
 
 def test_json_report_round_trips(tmp_path: Path) -> None:
-    run = run_lint([FIXTURES / "rpd002_bad.py"], baseline_path=None, parity=False)
+    run = run_lint([FIXTURES / "rpd002_bad.py"], baseline_path=None)
     report = json_report(run)
     assert json.loads(json.dumps(report)) == report  # fully JSON-serialisable
 
@@ -274,7 +250,7 @@ def test_cli_write_baseline_then_green(tmp_path: Path, capsys) -> None:
 def test_syntax_error_reported_not_crashed(tmp_path: Path) -> None:
     mangled = tmp_path / "mangled.py"
     mangled.write_text("def broken(:\n", encoding="utf-8")
-    run = run_lint([mangled], baseline_path=None, parity=False)
+    run = run_lint([mangled], baseline_path=None)
     assert [f.code for f in run.active] == ["RPD000"]
     assert "does not parse" in run.active[0].message
 
@@ -287,7 +263,6 @@ def test_real_src_tree_lints_clean() -> None:
     run = run_lint(
         [REPO_ROOT / "src"],
         baseline_path=REPO_ROOT / "lint_baseline.json",
-        parity=True,
     )
     assert not run.active, "\n".join(
         f"{f.location()}: {f.code} {f.message}" for f in run.active

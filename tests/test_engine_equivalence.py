@@ -208,11 +208,12 @@ class TestTrajectoryEquivalence:
 
 
 class TestChurnEquivalence:
-    @pytest.mark.parametrize("strategy", ["best-mate", "random"])
-    def test_churn_trajectories_identical(self, strategy):
+    @pytest.mark.parametrize("slots", [1, 2])
+    @pytest.mark.parametrize("strategy", ["best-mate", "decremental", "random"])
+    def test_churn_trajectories_identical(self, strategy, slots):
         kwargs = dict(
             n=70, expected_degree=6.0, churn_rate=0.03, max_base_units=6,
-            strategy=strategy,
+            strategy=strategy, slots=slots,
         )
         reference = simulate_churn(ChurnConfig(**kwargs), seed=13)
         fast = simulate_churn(ChurnConfig(engine="fast", **kwargs), seed=13)

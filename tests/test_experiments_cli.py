@@ -470,11 +470,9 @@ class TestCLIEngineFlag:
         with pytest.raises(SweepTaskError) as info:
             main(["figure1", "--engine", "fast"])
         assert isinstance(info.value.__cause__, Reached)
-        # The churn command threads the flag too (its fast path runs
-        # through the churn-specific array engine, not the simulator).
-        from repro.core import churn as churn_module
-
-        monkeypatch.setattr(churn_module._FastChurnEngine, "refresh", boom)
+        # The churn command threads the flag too (its loop drives the fast
+        # simulator's hooks, not run).
+        monkeypatch.setattr(fast_dynamics.FastConvergenceSimulator, "refresh", boom)
         with pytest.raises(SweepTaskError) as info:
             main(["figure3", "--engine", "fast"])
         assert isinstance(info.value.__cause__, Reached)

@@ -1,4 +1,4 @@
-"""Tests for the graph substrate (base structure, generators, statistics)."""
+"""Tests for the graph substrate (base structure, generators, components)."""
 
 from __future__ import annotations
 
@@ -27,15 +27,6 @@ from repro.graphs.erdos_renyi import (
     erdos_renyi_expected_degree,
     erdos_renyi_graph,
     expected_degree_to_probability,
-)
-from repro.graphs.generators import configuration_model_graph, random_regular_graph, ring_lattice
-from repro.graphs.properties import (
-    average_shortest_path_length,
-    clustering_coefficient,
-    degree_histogram,
-    graph_diameter,
-    mean_degree,
-    shortest_path_lengths,
 )
 
 
@@ -150,7 +141,7 @@ class TestErdosRenyi:
     def test_expected_degree_is_respected(self, rng):
         n, d = 400, 12.0
         graph = erdos_renyi_expected_degree(n, d, rng)
-        assert mean_degree(graph) == pytest.approx(d, rel=0.2)
+        assert 2 * graph.edge_count / graph.vertex_count == pytest.approx(d, rel=0.2)
 
     def test_edge_probability_is_respected(self, rng):
         n, p = 300, 0.05
@@ -399,35 +390,6 @@ class TestOtherGenerators:
         assert graph.edge_count == 15
         assert all(graph.degree(v) == 5 for v in graph.vertices())
 
-    def test_ring_lattice(self):
-        graph = ring_lattice(10, 4)
-        assert all(graph.degree(v) == 4 for v in graph.vertices())
-        assert is_connected(graph)
-
-    def test_ring_lattice_validation(self):
-        with pytest.raises(ValueError):
-            ring_lattice(10, 3)
-        with pytest.raises(ValueError):
-            ring_lattice(4, 6)
-
-    def test_random_regular(self, rng):
-        graph = random_regular_graph(20, 3, rng)
-        assert all(graph.degree(v) == 3 for v in graph.vertices())
-
-    def test_random_regular_validation(self, rng):
-        with pytest.raises(ValueError):
-            random_regular_graph(5, 3, rng)  # odd n * degree
-
-    def test_configuration_model(self, rng):
-        degrees = [2, 2, 2, 2, 1, 1]
-        graph = configuration_model_graph(degrees, rng)
-        observed = [graph.degree(v) for v in graph.vertices()]
-        assert sorted(observed) == sorted(degrees)
-
-    def test_configuration_model_rejects_odd_sum(self, rng):
-        with pytest.raises(ValueError):
-            configuration_model_graph([1, 1, 1], rng)
-
 
 class TestComponents:
     def test_components_of_disconnected_graph(self):
@@ -456,31 +418,3 @@ class TestComponents:
 
     def test_complete_graph_is_connected(self):
         assert is_connected(complete_graph(5))
-
-
-class TestProperties:
-    def test_mean_degree(self):
-        assert mean_degree(complete_graph(5)) == 4.0
-        assert mean_degree(UndirectedGraph()) == 0.0
-
-    def test_degree_histogram(self):
-        graph = UndirectedGraph()
-        graph.add_edge(1, 2)
-        graph.add_vertex(3)
-        assert degree_histogram(graph) == {0: 1, 1: 2}
-
-    def test_clustering_coefficient_complete(self):
-        assert clustering_coefficient(complete_graph(5)) == pytest.approx(1.0)
-
-    def test_clustering_coefficient_tree(self):
-        graph = UndirectedGraph()
-        graph.add_edge(1, 2)
-        graph.add_edge(1, 3)
-        assert clustering_coefficient(graph, 1) == 0.0
-
-    def test_shortest_paths_and_diameter(self):
-        graph = ring_lattice(6, 2)
-        distances = shortest_path_lengths(graph, 1)
-        assert distances[4] == 3
-        assert graph_diameter(graph) == 3
-        assert average_shortest_path_length(graph) > 1.0

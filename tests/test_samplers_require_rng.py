@@ -14,7 +14,6 @@ from repro.bittorrent.bandwidth import saroiu_like_distribution
 from repro.core.acceptance import AcceptanceGraph
 from repro.core.peer import PeerPopulation
 from repro.graphs.erdos_renyi import erdos_renyi_expected_degree, erdos_renyi_graph
-from repro.graphs.generators import configuration_model_graph, random_regular_graph
 from repro.sim import streams
 from repro.sim.random_source import derive_seed
 from repro.stratification.bvalues import rounded_normal_slots
@@ -22,10 +21,6 @@ from repro.stratification.bvalues import rounded_normal_slots
 IMPLICIT_CALLS = [
     pytest.param(lambda: erdos_renyi_graph(30, 0.2), id="erdos_renyi"),
     pytest.param(lambda: erdos_renyi_expected_degree(30, 4.0), id="erdos_renyi_expected_degree"),
-    pytest.param(lambda: random_regular_graph(20, 3), id="random_regular"),
-    pytest.param(
-        lambda: configuration_model_graph([2, 3, 3, 2, 2, 2]), id="configuration_model"
-    ),
     pytest.param(lambda: saroiu_like_distribution().sample(50), id="bandwidth_sample"),
     pytest.param(
         lambda: AcceptanceGraph.erdos_renyi(

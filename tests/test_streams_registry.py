@@ -24,7 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="module")
 def src_consumption():
     """Stream names consumed per file across the real src tree."""
-    run = run_lint([REPO_ROOT / "src"], baseline_path=None, parity=False)
+    run = run_lint([REPO_ROOT / "src"], baseline_path=None)
     return run.consumption
 
 
@@ -52,9 +52,6 @@ def test_no_dynamic_prefix_shadows_a_registered_name() -> None:
 def test_domains_and_pairing_are_consistent() -> None:
     domains = {spec.domain for spec in streams.REGISTRY.values()}
     assert domains == {"core", "bittorrent"}
-    assert streams.paired_names("core") == {streams.INITIATIVES}
-    # One round protocol draws every swarm stream for both engines.
-    assert streams.paired_names("bittorrent") == frozenset()
     for spec in streams.REGISTRY.values():
         assert spec.description, f"{spec.name} needs a description"
 
@@ -82,11 +79,15 @@ def test_every_consumed_stream_is_registered(src_consumption) -> None:
 
 
 def test_no_swarm_stream_is_drawn_in_the_fast_tree(src_consumption) -> None:
-    """The fast swarm backend receives generators; it never fetches a stream."""
+    """Neither fast backend fetches a stream.
+
+    The swarm's round protocol and the matching dynamics' initiative
+    protocol draw every stream and hand the backends generators.
+    """
     fast_tree = {
         path: sorted(names)
         for path, names in src_consumption.items()
-        if "repro/bittorrent/fast/" in path and names
+        if ("repro/bittorrent/fast/" in path or "repro/core/fast/" in path) and names
     }
     assert not fast_tree
 
