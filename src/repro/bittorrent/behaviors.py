@@ -360,7 +360,13 @@ def _parse_mix_spec(spec: str) -> BehaviorMix:
         if key == "seeds":
             seed_behavior = value
         elif key == "groups":
-            locality_groups = int(value)
+            try:
+                locality_groups = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"bad behavior-mix token '{token}' (expected groups:count, "
+                    f"count an integer)"
+                ) from None
         else:
             if key in fractions:
                 raise ValueError(f"behavior '{key}' listed twice in the mix")

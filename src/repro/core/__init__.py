@@ -46,12 +46,7 @@ from repro.core.metrics import collaboration_graph, disorder, matching_distance,
 from repro.core.peer import Peer, PeerPopulation
 from repro.core.ranking import GlobalRanking, RankingUtility, TitForTatUtility, UtilityFunction
 from repro.core.stable import stable_configuration
-from repro.core.fast import (
-    FastConvergenceSimulator,
-    FastMatching,
-    PeerArrays,
-    fast_stable_configuration,
-)
+from repro.core.fast import FastConvergenceSimulator, FastMatching, PeerArrays
 
 __all__ = [
     "AcceptanceGraph",
@@ -87,5 +82,4 @@ __all__ = [
     "FastConvergenceSimulator",
     "FastMatching",
     "PeerArrays",
-    "fast_stable_configuration",
 ]

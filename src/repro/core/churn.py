@@ -19,6 +19,7 @@ refresh.  Both engines produce bit-identical disorder trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -45,7 +46,8 @@ class ChurnConfig:
     n:
         Initial (and target) number of peers, an integer of at least 2.
     expected_degree:
-        Expected acceptance degree d of new and existing peers.
+        Expected acceptance degree d of new and existing peers, finite and
+        non-negative.
     churn_rate:
         Probability of a churn event per initiative, in [0, 1].  The
         paper's "churn = 30/1000" corresponds to ``churn_rate = 0.03``.
@@ -87,9 +89,10 @@ class ChurnConfig:
             raise ModelError(
                 f"churn_rate must be finite and in [0, 1], got {self.churn_rate!r}"
             )
-        if self.expected_degree < 0:
+        if not (math.isfinite(self.expected_degree) and self.expected_degree >= 0):
             raise ModelError(
-                f"expected_degree cannot be negative, got {self.expected_degree!r}"
+                f"expected_degree must be finite and non-negative, "
+                f"got {self.expected_degree!r}"
             )
         problem = horizon_error(self.max_base_units, self.samples_per_base_unit)
         if problem is not None:

@@ -326,8 +326,9 @@ def simulate_peer_removal(
     The initial configuration is the stable configuration of the full
     system; the peer ``removed_peer`` then leaves, and the simulation
     measures the disorder with respect to the *new* stable configuration of
-    the reduced system.  ``engine`` selects the backend for both the stable
-    computation and the re-convergence run.
+    the reduced system.  The stable state before the removal comes from
+    :func:`~repro.core.stable.stable_configuration` on either engine;
+    ``engine`` selects the backend of the re-convergence run.
     """
     source = RandomSource(seed)
     population = PeerPopulation.ranked(n, slots=slots)
@@ -335,7 +336,7 @@ def simulate_peer_removal(
         population, expected_degree=expected_degree, rng=source.stream(streams.GRAPH)
     )
     ranking = GlobalRanking.from_population(population)
-    before_removal = stable_configuration(acceptance, ranking, engine=engine)
+    before_removal = stable_configuration(acceptance, ranking)
 
     # Remove the peer from the system: population, acceptance graph and the
     # inherited configuration all forget it.

@@ -51,8 +51,13 @@ Choosing a backend
 Everything here is reachable through the ``engine="fast"`` switch on the
 public entry points (:class:`repro.core.dynamics.ConvergenceSimulator`,
 which builds a :class:`FastConvergenceSimulator` for it,
-:func:`repro.core.stable.stable_configuration`,
+:func:`repro.core.dynamics.simulate_convergence`,
+:func:`repro.core.dynamics.simulate_peer_removal`,
 :func:`repro.core.churn.simulate_churn`, the stratification pipelines).
+Algorithm 1 alone has one entry point,
+:func:`repro.core.stable.stable_configuration`, with no engine switch:
+the reference greedy pass is faster than building the arrays for
+:func:`fast_stable_table`, which exists for the array backend's own use.
 Use ``"fast"`` for large systems (n >= a few thousand) or long horizons;
 use ``"reference"`` (the default) when single-step introspection,
 custom :class:`~repro.core.initiatives.InitiativeStrategy` subclasses or
@@ -62,17 +67,12 @@ which at Figure 3's churn rates makes it slower than the reference.
 """
 
 from repro.core.fast.arrays import PeerArrays
-from repro.core.fast.engine import (
-    FastMatching,
-    fast_stable_configuration,
-    fast_stable_table,
-)
+from repro.core.fast.engine import FastMatching, fast_stable_table
 from repro.core.fast.dynamics import FastConvergenceSimulator
 
 __all__ = [
     "PeerArrays",
     "FastMatching",
-    "fast_stable_configuration",
     "fast_stable_table",
     "FastConvergenceSimulator",
 ]

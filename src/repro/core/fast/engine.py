@@ -35,19 +35,17 @@ float, which is exact below 2**53).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.core.acceptance import AcceptanceGraph
 from repro.core.fast.arrays import PeerArrays
 from repro.core.matching import Matching
-from repro.core.ranking import GlobalRanking
 
 __all__ = [
     "FastMatching",
     "fast_stable_table",
-    "fast_stable_configuration",
 ]
 
 _EMPTY = -1
@@ -343,16 +341,3 @@ def fast_stable_table(arrays: PeerArrays) -> FastMatching:
         matching._refresh_thr(i)
     return matching
 
-
-def fast_stable_configuration(
-    acceptance: AcceptanceGraph,
-    ranking: Optional[GlobalRanking] = None,
-) -> Matching:
-    """Compute the stable configuration via the array engine.
-
-    Returns a reference :class:`Matching` so callers are agnostic of the
-    backend; the O(n * b) conversion is negligible next to the reference
-    algorithm's per-edge Python work.
-    """
-    arrays = PeerArrays.build(acceptance, ranking)
-    return fast_stable_table(arrays).to_matching(acceptance)

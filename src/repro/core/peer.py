@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.exceptions import ModelError, UnknownPeerError
+from repro.core.exceptions import ModelError, UnknownPeerError, is_count
 
 __all__ = ["Peer", "PeerPopulation"]
 
@@ -85,8 +85,8 @@ class PeerPopulation:
         id means a higher score.  ``slots`` may be a single integer applied
         to everyone or a per-peer sequence of length ``n``.
         """
-        if n < 0:
-            raise ModelError("population size must be non-negative")
+        if not is_count(n) or n < 0:
+            raise ModelError(f"n must be a non-negative integer, got {n!r}")
         slot_list = cls._expand_slots(slots, n)
         peers = [
             Peer(first_id + i, float(n - i), slot_list[i])

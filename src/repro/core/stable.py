@@ -5,6 +5,11 @@ stable b-matching exists and is unique (Section 3).  Algorithm 1 computes it
 greedily: the best peer grabs the best b(p1) acceptable peers, the second
 best then fills its remaining slots, and so on.  All connections made this
 way are stable by immediate recurrence.
+
+This is the one entry point for Algorithm 1.  The array backend keeps its
+own copy, :func:`repro.core.fast.engine.fast_stable_table`, because its
+convergence runs need the stable table on arrays; the equivalence tests
+check that both give the same matching.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.acceptance import AcceptanceGraph
-from repro.core.exceptions import validate_engine
 from repro.core.matching import Matching
 from repro.core.ranking import GlobalRanking
 
@@ -20,10 +24,7 @@ __all__ = ["stable_configuration"]
 
 
 def stable_configuration(
-    acceptance: AcceptanceGraph,
-    ranking: Optional[GlobalRanking] = None,
-    *,
-    engine: str = "reference",
+    acceptance: AcceptanceGraph, ranking: Optional[GlobalRanking] = None
 ) -> Matching:
     """Compute the unique stable configuration of the b-matching problem.
 
@@ -34,10 +35,6 @@ def stable_configuration(
         budgets b(p)).
     ranking:
         The global ranking; derived from the population scores when omitted.
-    engine:
-        ``"reference"`` (default) runs Algorithm 1 on the dictionary
-        structures below; ``"fast"`` runs the vectorized version in
-        :mod:`repro.core.fast.engine`.  Both return the same matching.
 
     Returns
     -------
@@ -51,10 +48,6 @@ def stable_configuration(
     left.  The run time is O(sum of acceptance degrees) after the initial
     sort of each neighborhood.
     """
-    if validate_engine(engine) == "fast":
-        from repro.core.fast.engine import fast_stable_configuration
-
-        return fast_stable_configuration(acceptance, ranking)
     if ranking is None:
         ranking = GlobalRanking.from_population(acceptance.population)
 

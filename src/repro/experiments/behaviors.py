@@ -27,8 +27,8 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.bittorrent.analysis import behavior_report, behavior_stratification
-from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator
-from repro.sim.parallel import CacheLike, SeedTree, SweepTask, run_sweep
+from repro.experiments.sweep import curve_table, replicated_means, run_experiment_swarm
+from repro.sim.parallel import CacheLike
 
 __all__ = ["behavior_sweep_experiment"]
 
@@ -44,20 +44,9 @@ def _behavior_point(
     behavior_mix: str,
 ) -> Dict[str, float]:
     """One seeded swarm under one behavior mix -- a self-contained sweep task."""
-    rng = np.random.default_rng(seed)
-    bandwidths = np.exp(rng.uniform(np.log(100.0), np.log(2000.0), leechers))
-    config = SwarmConfig(
-        leechers=leechers,
-        seeds=2,
-        piece_count=piece_count,
-        rounds=rounds,
-        start_completion=0.25,
-        seed_upload_kbps=2000.0,
-        behaviors=behavior_mix,
+    result = run_experiment_swarm(
+        leechers, rounds, piece_count, seed, engine, behaviors=behavior_mix
     )
-    result = SwarmSimulator(
-        config, bandwidths=bandwidths, seed=seed, engine=engine
-    ).run()
     strat = behavior_stratification(result)
     metrics = {
         "stratification_index": strat["overall"],
@@ -90,61 +79,46 @@ def behavior_sweep_experiment(
 
     For each fraction ``f`` the swarm runs with the mix ``"{behavior}:f"``
     (default: free-riders with capped upload); ``f = 0`` is the obedient
-    baseline.  Replication ``0`` keeps the root seed, further replications
-    draw theirs from the :class:`~repro.sim.parallel.SeedTree` -- the same
-    convention as ``swarm_stratification_experiment`` -- and the reported
-    curves are across-replication means.  The returned mapping is
-    ``fractions`` plus one array per metric, aligned with the fraction
+    baseline.  Replications run and average through
+    :func:`~repro.experiments.sweep.replicated_means`, as in every swarm
+    sweep: replication ``0`` keeps the root seed, further replications
+    draw theirs from the :class:`~repro.sim.parallel.SeedTree`, and the
+    reported curves are across-replication means.  The returned mapping
+    is ``fractions`` plus one array per metric, aligned with the fraction
     axis; per-class columns (``standard_*``, ``{behavior}_*``) expose how
-    each population fares as the adversaries multiply.
+    each population fares as the adversaries multiply, and read ``nan``
+    at a fraction where the class has no peers.
 
     Works on either engine; ``engine="fast"`` is bit-identical and is what
     makes paper-scale populations practical.
     """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
     cleaned = sorted({float(f) for f in fractions})
     if not cleaned:
         raise ValueError("need at least one fraction")
     if cleaned[0] < 0.0 or cleaned[-1] > 1.0:
         raise ValueError("fractions must lie in [0, 1]")
 
-    tree = SeedTree(seed)
-    seeds = [seed] + [
-        tree.child("swarm-replication", k) for k in range(1, repetitions)
+    cells = [
+        (
+            f"behavior#{behavior}@{fraction:g}",
+            dict(
+                leechers=leechers,
+                rounds=rounds,
+                piece_count=piece_count,
+                engine=engine,
+                behavior_mix=(
+                    "standard:1" if fraction == 0.0 else f"{behavior}:{fraction}"
+                ),
+            ),
+        )
+        for fraction in cleaned
     ]
-    tasks = []
-    for fraction in cleaned:
-        mix = "standard:1" if fraction == 0.0 else f"{behavior}:{fraction}"
-        for k, task_seed in enumerate(seeds):
-            tasks.append(
-                SweepTask(
-                    _behavior_point,
-                    dict(
-                        leechers=leechers,
-                        rounds=rounds,
-                        piece_count=piece_count,
-                        seed=task_seed,
-                        engine=engine,
-                        behavior_mix=mix,
-                    ),
-                    label=f"behavior#{behavior}@{fraction:g}rep{k}",
-                )
-            )
-    outputs = run_sweep(tasks, workers=workers, cache=cache)
-
-    curves: Dict[str, list] = {}
-    for index in range(len(cleaned)):
-        replicates = outputs[index * repetitions : (index + 1) * repetitions]
-        keys = sorted({key for out in replicates for key in out})
-        for key in keys:
-            values = [out[key] for out in replicates if key in out]
-            curves.setdefault(key, [np.nan] * len(cleaned))[index] = float(
-                np.mean(values)
-            )
-    table: Dict[str, np.ndarray] = {
-        "fractions": np.asarray(cleaned, dtype=float)
-    }
-    for key in sorted(curves):
-        table[key] = np.asarray(curves[key], dtype=float)
-    return {"curves": table}
+    means = replicated_means(
+        _behavior_point,
+        cells,
+        seed=seed,
+        repetitions=repetitions,
+        workers=workers,
+        cache=cache,
+    )
+    return {"curves": curve_table("fractions", cleaned, means)}

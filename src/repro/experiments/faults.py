@@ -18,16 +18,13 @@ on-disk result cache like every other experiment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.bittorrent.swarm import (
-    SwarmConfig,
-    SwarmSimulator,
-    stratification_index,
-)
-from repro.sim.parallel import CacheLike, SeedTree, SweepTask, run_sweep
+from repro.bittorrent.swarm import stratification_index
+from repro.experiments.sweep import curve_table, replicated_means, run_experiment_swarm
+from repro.sim.parallel import CacheLike
 
 __all__ = ["fault_sweep_experiment"]
 
@@ -44,21 +41,15 @@ def _fault_point(
     faults: str,
 ) -> Dict[str, float]:
     """One seeded swarm under one fault schedule -- a self-contained task."""
-    rng = np.random.default_rng(seed)
-    bandwidths = np.exp(rng.uniform(np.log(100.0), np.log(2000.0), leechers))
-    config = SwarmConfig(
-        leechers=leechers,
-        seeds=2,
-        piece_count=piece_count,
-        rounds=rounds,
-        start_completion=0.25,
-        seed_upload_kbps=2000.0,
+    result = run_experiment_swarm(
+        leechers,
+        rounds,
+        piece_count,
+        seed,
+        engine,
+        scenario=scenario or None,
         faults=faults or None,
     )
-    result = SwarmSimulator(
-        config, bandwidths=bandwidths, seed=seed, engine=engine,
-        scenario=scenario or None,
-    ).run()
     return {
         "stratification_index": stratification_index(result),
         "completed": float(result.completed),
@@ -66,6 +57,28 @@ def _fault_point(
         "departures": float(result.departures),
         "rounds_run": float(result.rounds_run),
     }
+
+
+def outage_axis(
+    outages: Sequence[int], outage_start: int, extra_faults: str, target: str = ""
+) -> Tuple[List[int], List[str]]:
+    """The sorted outage durations and each one's fault spec: ``d`` opens
+    ``"outage:{outage_start}+{d}{target}"`` (none for ``d = 0``), then
+    ``extra_faults``."""
+    if outage_start < 1:
+        raise ValueError("outage_start must be >= 1")
+    cleaned = sorted({int(d) for d in outages})
+    if not cleaned:
+        raise ValueError("need at least one outage duration")
+    if cleaned[0] < 0:
+        raise ValueError("outage durations cannot be negative")
+    specs = []
+    for duration in cleaned:
+        parts = [] if duration == 0 else [f"outage:{outage_start}+{duration}{target}"]
+        if extra_faults:
+            parts.append(extra_faults)
+        specs.append(",".join(parts))
+    return cleaned, specs
 
 
 def fault_sweep_experiment(
@@ -95,68 +108,35 @@ def fault_sweep_experiment(
     notifications.  ``extra_faults`` appends further
     comma-separated events (e.g. ``"loss:0.02"``) to *every* point, so
     the outage axis can be studied on top of a lossy or churning
-    substrate.  Replication ``0`` keeps the root seed, further
-    replications draw theirs from the
-    :class:`~repro.sim.parallel.SeedTree` -- the same convention as the
-    other swarm sweeps -- and the reported curves are
-    across-replication means.  Works on either engine; ``engine="fast"``
-    is bit-identical and is what makes paper-scale populations practical.
+    substrate.  Replications run and average through
+    :func:`~repro.experiments.sweep.replicated_means`, as in every swarm
+    sweep: replication ``0`` keeps the root seed, further replications
+    draw theirs from the :class:`~repro.sim.parallel.SeedTree`, and the
+    reported curves are across-replication means.  Works on either
+    engine; ``engine="fast"`` is bit-identical and is what makes
+    paper-scale populations practical.
     """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    if outage_start < 1:
-        raise ValueError("outage_start must be >= 1")
-    cleaned = sorted({int(d) for d in outages})
-    if not cleaned:
-        raise ValueError("need at least one outage duration")
-    if cleaned[0] < 0:
-        raise ValueError("outage durations cannot be negative")
-
-    tree = SeedTree(seed)
-    seeds = [seed] + [
-        tree.child("swarm-replication", k) for k in range(1, repetitions)
-    ]
-    tasks = []
-    for duration in cleaned:
-        parts = [] if duration == 0 else [f"outage:{outage_start}+{duration}"]
-        if extra_faults:
-            parts.append(extra_faults)
-        spec = ",".join(parts)
-        for k, task_seed in enumerate(seeds):
-            tasks.append(
-                SweepTask(
-                    _fault_point,
-                    dict(
-                        leechers=leechers,
-                        rounds=rounds,
-                        piece_count=piece_count,
-                        seed=task_seed,
-                        engine=engine,
-                        scenario=scenario,
-                        faults=spec,
-                    ),
-                    label=f"fault#outage{duration}rep{k}",
-                )
-            )
-    outputs = run_sweep(tasks, workers=workers, cache=cache)
-
-    curves: Dict[str, List[float]] = {
-        key: []
-        for key in (
-            "stratification_index",
-            "completed",
-            "arrivals",
-            "departures",
-            "rounds_run",
+    cleaned, specs = outage_axis(outages, outage_start, extra_faults)
+    cells = [
+        (
+            f"fault#outage{duration}",
+            dict(
+                leechers=leechers,
+                rounds=rounds,
+                piece_count=piece_count,
+                engine=engine,
+                scenario=scenario,
+                faults=spec,
+            ),
         )
-    }
-    for index in range(len(cleaned)):
-        replicates = outputs[index * repetitions : (index + 1) * repetitions]
-        for key in curves:
-            curves[key].append(float(np.mean([out[key] for out in replicates])))
-    table: Dict[str, np.ndarray] = {
-        "outage_rounds": np.asarray(cleaned, dtype=float)
-    }
-    for key in sorted(curves):
-        table[key] = np.asarray(curves[key], dtype=float)
-    return {"curves": table}
+        for duration, spec in zip(cleaned, specs)
+    ]
+    means = replicated_means(
+        _fault_point,
+        cells,
+        seed=seed,
+        repetitions=repetitions,
+        workers=workers,
+        cache=cache,
+    )
+    return {"curves": curve_table("outage_rounds", cleaned, means)}

@@ -5,7 +5,7 @@ Each ``figure*`` / ``table1`` function runs the corresponding experiment at
 :class:`repro.sim.results.ResultTable` or dictionaries of numpy arrays --
 that the benchmarks, the examples and the CLI all share.  Parameters default
 to values that finish in seconds; the paper-scale settings are documented in
-each docstring and in EXPERIMENTS.md.
+each docstring and in ``docs/paper_map.md``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator, stratification_i
 from repro.bittorrent.telemetry import ObserverConfig
 from repro.core.churn import ChurnConfig, simulate_churn
 from repro.core.dynamics import simulate_convergence, simulate_peer_removal
-from repro.sim.parallel import CacheLike, SeedTree, SweepTask, run_sweep
+from repro.experiments.sweep import replicated_means, run_experiment_swarm
+from repro.sim.parallel import CacheLike, SweepTask, run_sweep
 from repro.sim.results import ResultTable
 from repro.stratification.clustering import analyze_complete_matching
 from repro.stratification.bvalues import constant_slots
@@ -479,33 +480,23 @@ def _swarm_point(
     *strings* (not resolved objects) so the task kwargs remain picklable
     primitives for the sweep cache key.
     """
-    rng = np.random.default_rng(seed)
-    bandwidths = np.exp(rng.uniform(np.log(100.0), np.log(2000.0), leechers))
-    config = SwarmConfig(
-        leechers=leechers,
-        seeds=2,
-        piece_count=piece_count,
-        rounds=rounds,
-        start_completion=0.25,
-        seed_upload_kbps=2000.0,
-        behaviors=behavior_mix,
-        faults=faults,
-        resilience=resilience,
-    )
     observer = (
         ObserverConfig(scrape_interval=scrape_interval, poll_interval=scrape_interval)
         if observe
         else None
     )
-    simulator = SwarmSimulator(
-        config,
-        bandwidths=bandwidths,
-        seed=seed,
-        engine=engine,
+    result = run_experiment_swarm(
+        leechers,
+        rounds,
+        piece_count,
+        seed,
+        engine,
         scenario=scenario,
         observer=observer,
+        behaviors=behavior_mix,
+        faults=faults,
+        resilience=resilience,
     )
-    result = simulator.run()
     rates = result.download_rates()
     ids = sorted(rates)
     uploads = {peer.peer_id: peer.upload_kbps for peer in result.leechers()}
@@ -565,12 +556,13 @@ def swarm_stratification_experiment(
     same statistics on a churning swarm instead of the paper's assumed
     fixed post-flash-crowd population.
 
-    ``repetitions > 1`` turns the single run into a Monte-Carlo estimate:
-    repetition 0 keeps the historical seed (so the default is unchanged);
-    further repetitions draw their seeds from the
-    :class:`~repro.sim.parallel.SeedTree` rooted at ``seed``, run ``workers``
-    at a time, and the returned metrics are the across-repetition means
-    (plus ``"repetitions"``).
+    ``repetitions > 1`` turns the single run into a Monte-Carlo estimate
+    through :func:`~repro.experiments.sweep.replicated_means`: repetition
+    0 keeps the historical seed (so the default is unchanged), further
+    repetitions draw their seeds from the
+    :class:`~repro.sim.parallel.SeedTree` rooted at ``seed`` and run
+    ``workers`` at a time, and the returned metrics are the
+    across-repetition means (plus ``"repetitions"``).
 
     ``observe=True`` attaches a
     :class:`~repro.bittorrent.telemetry.SwarmObserver` scraping and
@@ -595,38 +587,29 @@ def swarm_stratification_experiment(
     dead-neighbor eviction; the dedicated ``resilience-sweep`` experiment
     compares the defense levels systematically.
     """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    tree = SeedTree(seed)
-    seeds = [seed] + [tree.child("swarm-replication", k) for k in range(1, repetitions)]
-    tasks = [
-        SweepTask(
-            _swarm_point,
-            dict(
-                leechers=leechers,
-                rounds=rounds,
-                piece_count=piece_count,
-                seed=task_seed,
-                engine=engine,
-                scenario=scenario,
-                observe=observe,
-                scrape_interval=scrape_interval,
-                behavior_mix=behavior_mix,
-                faults=faults,
-                resilience=resilience,
-            ),
-            label=f"swarm#rep{k}",
-        )
-        for k, task_seed in enumerate(seeds)
-    ]
-    outputs = run_sweep(tasks, workers=workers, cache=cache)
-    if repetitions == 1:
-        return outputs[0]
-    averaged = {
-        key: float(np.mean([out[key] for out in outputs])) for key in outputs[0]
-    }
-    averaged["repetitions"] = float(repetitions)
-    return averaged
+    point = dict(
+        leechers=leechers,
+        rounds=rounds,
+        piece_count=piece_count,
+        engine=engine,
+        scenario=scenario,
+        observe=observe,
+        scrape_interval=scrape_interval,
+        behavior_mix=behavior_mix,
+        faults=faults,
+        resilience=resilience,
+    )
+    (metrics,) = replicated_means(
+        _swarm_point,
+        [("swarm#", point)],
+        seed=seed,
+        repetitions=repetitions,
+        workers=workers,
+        cache=cache,
+    )
+    if repetitions > 1:
+        metrics["repetitions"] = float(repetitions)
+    return metrics
 
 
 def _timeline_point(

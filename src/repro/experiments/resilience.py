@@ -17,17 +17,15 @@ other experiment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.bittorrent.resilience import make_resilience
-from repro.bittorrent.swarm import (
-    SwarmConfig,
-    SwarmSimulator,
-    stratification_index,
-)
-from repro.sim.parallel import CacheLike, SeedTree, SweepTask, run_sweep
+from repro.bittorrent.swarm import stratification_index
+from repro.experiments.faults import outage_axis
+from repro.experiments.sweep import curve_table, replicated_means, run_experiment_swarm
+from repro.sim.parallel import CacheLike
 
 __all__ = ["resilience_sweep_experiment"]
 
@@ -56,22 +54,16 @@ def _resilience_point(
     resilience: str,
 ) -> Dict[str, float]:
     """One seeded swarm under one (faults, resilience) pair."""
-    rng = np.random.default_rng(seed)
-    bandwidths = np.exp(rng.uniform(np.log(100.0), np.log(2000.0), leechers))
-    config = SwarmConfig(
-        leechers=leechers,
-        seeds=2,
-        piece_count=piece_count,
-        rounds=rounds,
-        start_completion=0.25,
-        seed_upload_kbps=2000.0,
+    result = run_experiment_swarm(
+        leechers,
+        rounds,
+        piece_count,
+        seed,
+        engine,
+        scenario=scenario or None,
         faults=faults or None,
         resilience=resilience if resilience != "off" else None,
     )
-    result = SwarmSimulator(
-        config, bandwidths=bandwidths, seed=seed, engine=engine,
-        scenario=scenario or None,
-    ).run()
     stats = result.resilience
     return {
         "stratification_index": stratification_index(result),
@@ -112,83 +104,47 @@ def resilience_sweep_experiment(
     *partial* outages is covered by the benchmark and the test suite
     instead, since it needs per-replica windows.  ``extra_faults``
     appends further comma-separated events (e.g. ``"crash:5@12~6"``) to
-    every faulty point.  Seeding follows the other swarm sweeps: one
-    :class:`~repro.sim.parallel.SeedTree`, replication ``0`` keeps the
-    root seed, curves are across-replication means.  Works on either
-    engine; ``engine="fast"`` is bit-identical.
+    every faulty point.  Replications run and average through
+    :func:`~repro.experiments.sweep.replicated_means`, as in every swarm
+    sweep: one :class:`~repro.sim.parallel.SeedTree`, replication ``0``
+    keeps the root seed, curves are across-replication means.  Works on
+    either engine; ``engine="fast"`` is bit-identical.
     """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
-    if outage_start < 1:
-        raise ValueError("outage_start must be >= 1")
-    cleaned = sorted({int(d) for d in outages})
-    if not cleaned:
-        raise ValueError("need at least one outage duration")
-    if cleaned[0] < 0:
-        raise ValueError("outage durations cannot be negative")
+    cleaned, specs = outage_axis(outages, outage_start, extra_faults, "/all")
     if not levels:
         raise ValueError("need at least one resilience level")
     for level in levels:
         if level != "off":
             make_resilience(level)  # validate early, before any sweep work
 
-    tree = SeedTree(seed)
-    seeds = [seed] + [
-        tree.child("swarm-replication", k) for k in range(1, repetitions)
+    cells = [
+        (
+            f"resilience#{level}outage{duration}",
+            dict(
+                leechers=leechers,
+                rounds=rounds,
+                piece_count=piece_count,
+                engine=engine,
+                scenario=scenario,
+                faults=spec,
+                resilience=level,
+            ),
+        )
+        for level in levels
+        for duration, spec in zip(cleaned, specs)
     ]
-    tasks = []
-    for level in levels:
-        for duration in cleaned:
-            parts = (
-                [] if duration == 0 else [f"outage:{outage_start}+{duration}/all"]
-            )
-            if extra_faults:
-                parts.append(extra_faults)
-            spec = ",".join(parts)
-            for k, task_seed in enumerate(seeds):
-                tasks.append(
-                    SweepTask(
-                        _resilience_point,
-                        dict(
-                            leechers=leechers,
-                            rounds=rounds,
-                            piece_count=piece_count,
-                            seed=task_seed,
-                            engine=engine,
-                            scenario=scenario,
-                            faults=spec,
-                            resilience=level,
-                        ),
-                        label=f"resilience#{level}outage{duration}rep{k}",
-                    )
-                )
-    outputs = run_sweep(tasks, workers=workers, cache=cache)
-
-    keys = (
-        "stratification_index",
-        "completed",
-        "mean_completion_round",
-        "rounds_run",
-        "failover_announces",
-        "pex_introductions",
-        "pex_bootstraps",
-        "evictions",
+    means = replicated_means(
+        _resilience_point,
+        cells,
+        seed=seed,
+        repetitions=repetitions,
+        workers=workers,
+        cache=cache,
     )
-    per_duration = len(cleaned) * repetitions
-    report: Dict[str, Dict[str, np.ndarray]] = {}
-    for li, level in enumerate(levels):
-        block = outputs[li * per_duration : (li + 1) * per_duration]
-        curves: Dict[str, List[float]] = {key: [] for key in keys}
-        for index in range(len(cleaned)):
-            replicates = block[index * repetitions : (index + 1) * repetitions]
-            for key in curves:
-                curves[key].append(
-                    float(np.mean([out[key] for out in replicates]))
-                )
-        table: Dict[str, np.ndarray] = {
-            "outage_rounds": np.asarray(cleaned, dtype=float)
-        }
-        for key in sorted(curves):
-            table[key] = np.asarray(curves[key], dtype=float)
-        report[level] = table
-    return report
+    width = len(cleaned)
+    return {
+        level: curve_table(
+            "outage_rounds", cleaned, means[li * width : (li + 1) * width]
+        )
+        for li, level in enumerate(levels)
+    }

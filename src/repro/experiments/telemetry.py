@@ -15,8 +15,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.bittorrent.analysis import DEFAULT_THRESHOLDS, telemetry_report
-from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator
 from repro.bittorrent.telemetry import ObserverConfig
+from repro.experiments.sweep import run_experiment_swarm
 from repro.sim.parallel import CacheLike, SweepTask, run_sweep
 
 __all__ = ["telemetry_experiment"]
@@ -36,30 +36,15 @@ def _telemetry_point(
     thresholds: Sequence[float],
 ) -> Dict[str, Dict[str, np.ndarray]]:
     """One observed swarm run -- a self-contained sweep task."""
-    rng = np.random.default_rng(seed)
-    bandwidths = np.exp(rng.uniform(np.log(100.0), np.log(2000.0), leechers))
-    config = SwarmConfig(
-        leechers=leechers,
-        seeds=2,
-        piece_count=piece_count,
-        rounds=rounds,
-        start_completion=0.25,
-        seed_upload_kbps=2000.0,
-    )
     observer = ObserverConfig(
         scrape_interval=scrape_interval,
         poll_interval=poll_interval,
         poll_budget=poll_budget,
         confirm_threshold=confirm_threshold,
     )
-    result = SwarmSimulator(
-        config,
-        bandwidths=bandwidths,
-        seed=seed,
-        engine=engine,
-        scenario=scenario,
-        observer=observer,
-    ).run()
+    result = run_experiment_swarm(
+        leechers, rounds, piece_count, seed, engine, scenario=scenario, observer=observer
+    )
     return telemetry_report(result, result.observed, tuple(thresholds))
 
 

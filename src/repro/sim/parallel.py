@@ -18,12 +18,14 @@ from shared mutable RNG state.  This module provides that throughput layer:
 * :class:`SweepRunner` -- maps tasks onto a ``ProcessPoolExecutor`` with
   chunked submission and *ordered* aggregation.  ``workers=1`` runs the
   tasks inline; because every task owns its seed, ``workers=8`` returns
-  bit-identical results in the same order.
+  bit-identical results in the same order.  ``workers`` and ``cache`` are
+  its only settings; a dead worker's chunk is retried twice.
 * :class:`ResultCache` -- an opt-in, content-addressed on-disk cache.
   The key is the SHA-256 of the canonical JSON of
   ``{function, config, seed, engine, version}``; numpy arrays round-trip
   bit-exactly (raw little-endian bytes, base64), so a warm re-run of a
-  figure replays its points without touching the simulators.
+  figure replays its points without touching the simulators, and a
+  killed or interrupted sweep resumes when rerun with the same cache.
 
 The experiment drivers (:mod:`repro.experiments.figures`,
 :mod:`repro.stratification.phase_transition`) route their replication
@@ -41,7 +43,6 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -429,44 +430,10 @@ def _run_chunk(
     return out
 
 
-class _SweepManifest:
-    """The on-disk checkpoint of one sweep: which tasks have finished.
-
-    One JSON file, rewritten atomically after every completion, holding
-    ``{version, total, completed: {cache_key: label}, status}`` with
-    ``status`` one of ``running`` / ``interrupted`` / ``failed`` /
-    ``complete``.  Together with the result cache (which holds the
-    actual values, written as tasks finish) this makes an interrupted
-    sweep resumable: rerunning the same sweep replays the completed
-    tasks from the cache and computes only the remainder, byte-identical
-    to an uninterrupted run.
-    """
-
-    def __init__(self, path: Path, total: int) -> None:
-        self.path = path
-        self.total = total
-        self.completed: Dict[str, str] = {}
-        self.status = "running"
-
-    def mark(self, key: str, label: str) -> None:
-        self.completed[key] = label
-
-    def finish(self, status: str) -> None:
-        self.status = status
-        self.flush()
-
-    def flush(self) -> None:
-        payload = {
-            "version": __version__,
-            "total": self.total,
-            "completed": dict(sorted(self.completed.items())),
-            "status": self.status,
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
+# A chunk whose worker died is resubmitted to a freshly spawned pool up to
+# _RETRIES times, sleeping _RETRY_BACKOFF * 2**(attempt - 1) seconds first.
+_RETRIES = 2
+_RETRY_BACKOFF = 0.5
 
 
 class SweepRunner:
@@ -477,144 +444,71 @@ class SweepRunner:
     workers:
         Pool width.  ``1`` (the default) runs tasks inline in submission
         order; ``N > 1`` fans them out over a ``spawn``
-        ``ProcessPoolExecutor``.  Results are aggregated in task order
-        either way, and since every task carries its own seed the output
-        is bit-identical for any ``workers``.
+        ``ProcessPoolExecutor`` in chunks of about ``len(tasks) / (8 * N)``
+        tasks (so small sweeps submit single tasks).  Results are
+        aggregated in task order either way, and since every task carries
+        its own seed the output is bit-identical for any ``workers``.
     cache:
         ``None`` (default, no caching), a directory path, or a
         :class:`ResultCache`.  Cached tasks are skipped entirely; fresh
-        results are written back *as they complete*, so a killed sweep
-        keeps everything it finished.
-    chunk_size:
-        Tasks per pool submission.  Defaults to roughly eight chunks per
-        worker (so small sweeps submit single tasks), trading a little
-        pickle overhead for minimal tail skew when task durations vary.
-    timeout:
-        Seconds allowed *per task* before its chunk is treated like a
-        dead worker (``None``, the default, waits forever).  A chunk of
-        ``k`` tasks gets ``k * timeout``.
-    retries:
-        How many times a chunk whose worker died (or timed out) is
-        resubmitted to a freshly spawned pool before the sweep gives up
-        with a :class:`SweepTaskError`.  Retries rerun the same tasks
-        with the same seeds, so a transient death (OOM kill, node blip)
-        still yields bit-identical results.  Exceptions *raised by the
-        task function* are deterministic and never retried.
-    retry_backoff:
-        Base of the deterministic exponential backoff between retries:
-        attempt ``a`` sleeps ``retry_backoff * 2**(a - 1)`` seconds.
-    manifest:
-        Path of a JSON checkpoint rewritten after every task completion
-        (requires ``cache``; see :class:`_SweepManifest`).  On
-        ``KeyboardInterrupt`` the manifest is flushed with status
-        ``interrupted`` and the interrupt re-raised, so a ^C'd sweep can
-        be resumed by simply rerunning it.
+        results are written back *as they complete*, so a killed or
+        interrupted sweep resumes when rerun with the same cache.
+
+    A chunk whose worker dies (an OOM kill, a SIGKILL) is resubmitted to a
+    freshly spawned pool up to two times, with a 0.5 s doubling backoff,
+    before the sweep gives up with a :class:`SweepTaskError`.  Retries
+    rerun the same tasks with the same seeds, so a transient death still
+    yields bit-identical results.  Exceptions *raised by the task
+    function* are deterministic and never retried.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        cache: CacheLike = None,
-        chunk_size: Optional[int] = None,
-        timeout: Optional[float] = None,
-        retries: int = 2,
-        retry_backoff: float = 0.5,
-        manifest: Union[None, str, Path] = None,
-    ) -> None:
+    def __init__(self, workers: int = 1, cache: CacheLike = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when given")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive when given")
-        if retries < 0:
-            raise ValueError("retries cannot be negative")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff cannot be negative")
         self.workers = int(workers)
         self.cache: Optional[ResultCache]
         if cache is None or isinstance(cache, ResultCache):
             self.cache = cache
         else:
             self.cache = ResultCache(cache)
-        self.chunk_size = chunk_size
-        self.timeout = timeout
-        self.retries = int(retries)
-        self.retry_backoff = float(retry_backoff)
-        if manifest is not None and self.cache is None:
-            raise ValueError(
-                "manifest requires a cache (the manifest records progress; "
-                "the cache holds the completed results a resume replays)"
-            )
-        self.manifest_path = None if manifest is None else Path(manifest)
 
     def map(self, tasks: Iterable[SweepTask]) -> List[Any]:
         """Execute every task; returns results in task order."""
         task_list = list(tasks)
         results: List[Any] = [None] * len(task_list)
         pending: List[int] = []
-        manifest: Optional[_SweepManifest] = None
-        if self.manifest_path is not None:
-            manifest = _SweepManifest(self.manifest_path, len(task_list))
-        if self.cache is not None:
-            for index, task in enumerate(task_list):
-                hit, value = self.cache.get(task)
-                if hit:
-                    results[index] = value
-                    if manifest is not None:
-                        manifest.mark(self.cache.key_for(task), task.label)
-                else:
-                    pending.append(index)
-        else:
-            pending = list(range(len(task_list)))
-        if manifest is not None:
-            manifest.flush()
+        for index, task in enumerate(task_list):
+            hit, value = (False, None) if self.cache is None else self.cache.get(task)
+            if hit:
+                results[index] = value
+            else:
+                pending.append(index)
 
         def complete(position: int, value: Any) -> None:
             # Runs in the parent as each task result arrives: write the
-            # cache entry immediately (crash durability) and checkpoint.
+            # cache entry immediately, so a killed sweep keeps it.
             index = pending[position]
-            task = task_list[index]
             if self.cache is not None:
-                value = self.cache.put(task, value)
-                if manifest is not None:
-                    manifest.mark(self.cache.key_for(task), task.label)
-                    manifest.flush()
+                value = self.cache.put(task_list[index], value)
             results[index] = value
 
-        try:
-            if pending:
-                subset = [task_list[i] for i in pending]
-                if self.workers == 1 or len(pending) == 1:
-                    for position, task in enumerate(subset):
-                        complete(position, self._run_inline(task))
-                else:
-                    self._map_parallel(subset, complete)
-        except KeyboardInterrupt:
-            if manifest is not None:
-                manifest.finish("interrupted")
-            raise
-        except BaseException:
-            if manifest is not None:
-                manifest.finish("failed")
-            raise
-        if manifest is not None:
-            manifest.finish("complete")
+        subset = [task_list[i] for i in pending]
+        if self.workers == 1 or len(subset) <= 1:
+            for position, task in enumerate(subset):
+                complete(position, self._run_inline(task))
+        else:
+            self._map_parallel(subset, complete)
         return results
 
     def _run_inline(self, task: SweepTask) -> Any:
-        """Run one task in-process, wrapping failures like a worker would."""
+        """Run one task in-process, wrapping failures as a worker does."""
         try:
-            return task.fn(**dict(task.kwargs))
-        except Exception as exc:
-            name = task.label or getattr(task.fn, "__qualname__", repr(task.fn))
-            raise SweepTaskError(
-                f"sweep task {name!r} (seed={task.kwargs.get('seed')!r}) "
-                f"raised {exc!r}",
-                label=task.label,
-                seed=task.kwargs.get("seed"),
-                key=self.cache.key_for(task) if self.cache is not None else None,
-            ) from exc
+            (value,) = _run_chunk([(task.fn, dict(task.kwargs), task.label)])
+        except SweepTaskError as exc:
+            if self.cache is not None:
+                exc.key = self.cache.key_for(task)
+            raise
+        return value
 
     def _map_parallel(
         self,
@@ -627,19 +521,18 @@ class SweepRunner:
         ``src/`` to ``sys.path`` at runtime: ``spawn`` forwards the
         parent's ``sys.path`` in its process preparation data.
 
-        Resilience: a chunk whose worker dies (``BrokenProcessPool``) or
-        exceeds its timeout is resubmitted -- up to ``retries`` times
-        with deterministic exponential backoff -- to a *freshly spawned*
-        pool (a broken pool is unusable, and a hung worker must be
-        killed).  Chunks that already finished are harvested first, so
-        no completed work is recomputed; the retried tasks rerun with
+        Resilience: a chunk whose worker dies (``BrokenProcessPool``) is
+        resubmitted -- up to ``_RETRIES`` times with deterministic
+        exponential backoff -- to a *freshly spawned* pool (a broken pool
+        is unusable).  Chunks that already finished are harvested first,
+        so no completed work is recomputed; the retried tasks rerun with
         their original seeds, keeping results bit-identical.
         """
         workers = min(self.workers, len(tasks))
-        # Fine default granularity (~8 chunks per worker, so small sweeps
-        # get chunk=1): task durations vary across a sweep, and the tail
-        # skew of a coarse chunk costs more than the per-submission pickle.
-        chunk = self.chunk_size or max(1, len(tasks) // (workers * 8))
+        # About eight chunks per worker (so small sweeps get chunk=1): task
+        # durations vary across a sweep, and the tail skew of a coarse
+        # chunk costs more than the per-submission pickle.
+        chunk = max(1, len(tasks) // (workers * 8))
         bounds = [
             (lo, min(lo + chunk, len(tasks))) for lo in range(0, len(tasks), chunk)
         ]
@@ -680,11 +573,8 @@ class SweepRunner:
                     futures[ci] = pool.submit(_run_chunk, payload)
                 for ci in remaining:  # submission order == task order
                     lo, hi = bounds[ci]
-                    chunk_timeout = (
-                        None if self.timeout is None else self.timeout * (hi - lo)
-                    )
                     try:
-                        values = futures[ci].result(timeout=chunk_timeout)
+                        values = futures[ci].result()
                     except SweepTaskError as exc:
                         # The task *function* raised: deterministic, no
                         # retry.  Attach the cache key now that we are
@@ -699,21 +589,16 @@ class SweepRunner:
                                 None,
                             )
                         raise
-                    except (BrokenProcessPool, FuturesTimeoutError) as exc:
+                    except BrokenProcessPool as exc:
                         harvest(futures, skip=ci)
                         attempts[ci] += 1
-                        if attempts[ci] > self.retries:
+                        if attempts[ci] > _RETRIES:
                             first = tasks[lo]
                             name = first.label or first.fn.__qualname__
-                            kind = (
-                                "timed out"
-                                if isinstance(exc, FuturesTimeoutError)
-                                else "worker died"
-                            )
                             raise SweepTaskError(
                                 f"sweep chunk starting at task {name!r} "
-                                f"(seed={first.kwargs.get('seed')!r}) {kind} "
-                                f"{attempts[ci]} times; giving up",
+                                f"(seed={first.kwargs.get('seed')!r}) worker "
+                                f"died {attempts[ci]} times; giving up",
                                 label=first.label,
                                 seed=first.kwargs.get("seed"),
                                 key=(
@@ -722,14 +607,14 @@ class SweepRunner:
                                     else None
                                 ),
                             ) from exc
-                        retry_delay = self.retry_backoff * 2 ** (attempts[ci] - 1)
+                        retry_delay = _RETRY_BACKOFF * 2 ** (attempts[ci] - 1)
                         break  # respawn the pool for the survivors
                     for offset, value in enumerate(values):
                         complete(lo + offset, value)
                     finished.add(ci)
             except KeyboardInterrupt:
                 # Graceful ^C: keep everything that already finished (the
-                # cache/manifest callbacks run in harvest), then re-raise.
+                # cache callback runs in harvest), then re-raise.
                 harvest(futures)
                 raise
             finally:
@@ -739,23 +624,8 @@ class SweepRunner:
 
 
 def run_sweep(
-    tasks: Iterable[SweepTask],
-    *,
-    workers: int = 1,
-    cache: CacheLike = None,
-    chunk_size: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    retry_backoff: float = 0.5,
-    manifest: Union[None, str, Path] = None,
+    tasks: Iterable[SweepTask], *, workers: int = 1, cache: CacheLike = None
 ) -> List[Any]:
-    """Functional shortcut: build a :class:`SweepRunner` and map ``tasks``."""
-    return SweepRunner(
-        workers=workers,
-        cache=cache,
-        chunk_size=chunk_size,
-        timeout=timeout,
-        retries=retries,
-        retry_backoff=retry_backoff,
-        manifest=manifest,
-    ).map(tasks)
+    """``SweepRunner(workers, cache).map(tasks)``; see :class:`SweepRunner`
+    for worker-death retries and resuming a killed sweep from ``cache``."""
+    return SweepRunner(workers=workers, cache=cache).map(tasks)

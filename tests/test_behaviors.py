@@ -187,6 +187,13 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             make_behavior_mix(spec)
 
+    @pytest.mark.parametrize("token", ["groups:abc", "groups:2.5"])
+    def test_bad_group_count_names_its_token(self, token):
+        with pytest.raises(ValueError) as excinfo:
+            make_behavior_mix(f"free_rider:0.2,{token}")
+        message = str(excinfo.value)
+        assert token in message and "groups:count" in message
+
     def test_resolve_behavior_mix(self):
         assert resolve_behavior_mix(None).is_trivial
         assert resolve_behavior_mix("freeriders").fractions == (

@@ -213,6 +213,8 @@ _BAD_CHURN_FIELDS = [
     ("n", 50.0),
     ("slots", 1.5),
     ("strategy", "bogus"),
+    ("expected_degree", NAN),
+    ("expected_degree", INF),
 ]
 
 
@@ -231,6 +233,14 @@ def _simulate_convergence(engine, **arguments):
     simulate_convergence(20, 4.0, engine=engine, **arguments)
 
 
+def _convergence_of_size(engine, n):
+    simulate_convergence(n, 4.0, engine=engine)
+
+
+def _peer_removal_of_size(engine, n):
+    simulate_peer_removal(n, 4.0, 3, engine=engine)
+
+
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize(
     "call, error, field, value",
@@ -247,6 +257,10 @@ def _simulate_convergence(engine, **arguments):
             )
             for call in (_simulator_run, _simulate_convergence)
             for field, value in _BAD_HORIZONS
+        ),
+        *(
+            pytest.param(call, ModelError, "n", 30.0, id=f"{call.__name__[1:]}-n=30.0")
+            for call in (_convergence_of_size, _peer_removal_of_size)
         ),
     ],
 )

@@ -25,7 +25,7 @@ from repro.core.dynamics import (
 )
 from repro.core.exceptions import ModelError
 from repro.core.fast.arrays import PeerArrays
-from repro.core.fast.engine import FastMatching, fast_stable_configuration
+from repro.core.fast.engine import FastMatching, fast_stable_table
 from repro.core.matching import Matching, blocking_pairs, is_stable
 from repro.core.peer import Peer, PeerPopulation
 from repro.core.ranking import GlobalRanking
@@ -44,6 +44,11 @@ def _er_acceptance(n: int, degree: float, slots, seed: int) -> AcceptanceGraph:
     return AcceptanceGraph.erdos_renyi(
         population, expected_degree=degree, rng=source.stream("graph")
     )
+
+
+def _fast_stable(acceptance: AcceptanceGraph) -> Matching:
+    """Algorithm 1 on the array backend, as a reference ``Matching``."""
+    return fast_stable_table(PeerArrays.build(acceptance)).to_matching(acceptance)
 
 
 def _assert_same_result(reference, fast):
@@ -65,7 +70,7 @@ class TestStableEquivalence:
         for n, slots in [(2, 1), (9, 2), (25, 1), (20, 3)]:
             population = PeerPopulation.ranked(n, slots=slots)
             acceptance = AcceptanceGraph.complete(population)
-            assert fast_stable_configuration(acceptance) == stable_configuration(
+            assert _fast_stable(acceptance) == stable_configuration(
                 acceptance
             )
 
@@ -78,7 +83,7 @@ class TestStableEquivalence:
         ]:
             acceptance = _er_acceptance(n, degree, slots, seed)
             reference = stable_configuration(acceptance)
-            fast = stable_configuration(acceptance, engine="fast")
+            fast = _fast_stable(acceptance)
             assert fast == reference
             assert is_stable(
                 fast, GlobalRanking.from_population(acceptance.population)
@@ -94,15 +99,15 @@ class TestStableEquivalence:
             acceptance.declare_acceptable(p, q)
         expected_pairs = [(1, 2), (3, 4)]
         assert sorted(stable_configuration(acceptance).pairs()) == expected_pairs
-        assert sorted(fast_stable_configuration(acceptance).pairs()) == expected_pairs
+        assert sorted(_fast_stable(acceptance).pairs()) == expected_pairs
 
         # Degenerate instances: no edges, and a single pair.
         lonely = AcceptanceGraph(PeerPopulation.ranked(3, slots=1))
-        assert fast_stable_configuration(lonely) == stable_configuration(lonely)
+        assert _fast_stable(lonely) == stable_configuration(lonely)
         pair_population = PeerPopulation.ranked(2, slots=1)
         pair = AcceptanceGraph(pair_population)
         pair.declare_acceptable(1, 2)
-        assert sorted(fast_stable_configuration(pair).pairs()) == [(1, 2)]
+        assert sorted(_fast_stable(pair).pairs()) == [(1, 2)]
 
     def test_zero_capacity_peers(self):
         population = PeerPopulation(
@@ -110,7 +115,7 @@ class TestStableEquivalence:
         )
         acceptance = AcceptanceGraph.complete(population)
         reference = stable_configuration(acceptance)
-        assert fast_stable_configuration(acceptance) == reference
+        assert _fast_stable(acceptance) == reference
         assert sorted(reference.pairs()) == [(2, 3)]
 
     @_settings
@@ -124,7 +129,7 @@ class TestStableEquivalence:
         population = PeerPopulation.ranked(n, slots=b0)
         rng = np.random.default_rng(seed)
         acceptance = AcceptanceGraph.erdos_renyi(population, probability=p, rng=rng)
-        assert fast_stable_configuration(acceptance) == stable_configuration(acceptance)
+        assert _fast_stable(acceptance) == stable_configuration(acceptance)
 
 
 # -- trajectory equivalence -------------------------------------------------------
@@ -257,8 +262,6 @@ class TestEngineInterface:
         acceptance = _er_acceptance(10, 3.0, 1, 0)
         with pytest.raises(ModelError):
             ConvergenceSimulator(acceptance, engine="warp")
-        with pytest.raises(ModelError):
-            stable_configuration(acceptance, engine="warp")
         with pytest.raises(ModelError):
             analyze_complete_matching([1, 1], engine="warp")
 

@@ -3,10 +3,11 @@
 The engine-equivalence suites prove ``fast == reference`` *within* one
 version of the code; they cannot catch a change that alters both engines
 the same way (a reordered random draw, a tweaked float sequence, a new
-default).  These tests replay small seeded simulations -- three swarm
-scenarios and three matching runs -- and diff their full serialized
-results against JSON traces committed under ``tests/golden/``, so any
-drift in the deterministic contract breaks CI loudly.
+default).  These tests replay small seeded simulations -- swarm scenarios,
+observed swarms, matching runs and tiny sweeps of the experiment drivers
+-- and diff their full serialized results against JSON traces committed
+under ``tests/golden/``, so any drift in the deterministic contract
+breaks CI loudly.
 
 If a change *intentionally* alters the traces (e.g. a new random draw in
 the hot path), regenerate and commit them:
@@ -23,8 +24,10 @@ import json
 from pathlib import Path
 from typing import Dict
 
+import numpy as np
 import pytest
 
+from repro import experiments
 from repro.bittorrent.swarm import SwarmConfig, SwarmResult, SwarmSimulator
 from repro.bittorrent.telemetry import ObservedSwarm, ObserverConfig
 from repro.core.dynamics import simulate_convergence
@@ -132,6 +135,24 @@ def serialize_convergence(result) -> Dict:
         ),
         "final_matching": [list(pair) for pair in sorted(result.final_matching.pairs())],
     }
+
+
+def serialize_exact(value):
+    """A driver's output as JSON that keeps every bit and every key order.
+
+    Mappings become ``[key, value]`` lists, so their order is pinned too;
+    floats become :meth:`float.hex` strings, because sweep curves can hold
+    ``nan``, which JSON cannot spell and which never equals itself.
+    """
+    if isinstance(value, dict):
+        return [[serialize_exact(k), serialize_exact(v)] for k, v in value.items()]
+    if isinstance(value, np.ndarray):
+        return {"dtype": value.dtype.str, "values": serialize_exact(value.tolist())}
+    if isinstance(value, list):
+        return [serialize_exact(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    return value
 
 
 # -- trace catalogue ------------------------------------------------------------
@@ -262,6 +283,53 @@ MATCHING_TRACES = {
     ),
 }
 
+# Experiment-layer traces: tiny runs of the swarm sweep drivers, under
+# Poisson churn, a short tracker outage and crashes so that every curve
+# moves (the behavior sweep has no scenario, so it gets more pieces to
+# keep its static swarm busy).  Sequences are lists so the spec
+# round-trips through JSON unchanged.
+_TINY_SWARM = dict(leechers=12, piece_count=150, rounds=15)
+
+EXPERIMENT_TRACES = {
+    "experiment_swarm": {
+        "driver": "swarm_stratification_experiment",
+        "kwargs": dict(
+            _TINY_SWARM, seed=301, scenario="poisson", observe=True,
+            scrape_interval=2, behavior_mix="free_rider:0.2",
+            faults="outage:4+3", resilience="full", repetitions=2,
+        ),
+    },
+    "experiment_swarm_single": {
+        "driver": "swarm_stratification_experiment",
+        "kwargs": dict(_TINY_SWARM, seed=302, scenario="poisson"),
+    },
+    "experiment_behavior": {
+        "driver": "behavior_sweep_experiment",
+        "kwargs": dict(
+            _TINY_SWARM, seed=303, piece_count=300, fractions=[0.0, 0.25],
+            repetitions=2,
+        ),
+    },
+    "experiment_fault": {
+        "driver": "fault_sweep_experiment",
+        "kwargs": dict(
+            _TINY_SWARM, seed=304, outages=[0, 3], outage_start=4,
+            extra_faults="loss:0.05", repetitions=2,
+        ),
+    },
+    "experiment_resilience": {
+        "driver": "resilience_sweep_experiment",
+        "kwargs": dict(
+            _TINY_SWARM, seed=305, levels=["off", "full"], outages=[0, 3],
+            outage_start=4, extra_faults="crash:2@6", repetitions=2,
+        ),
+    },
+    "experiment_telemetry": {
+        "driver": "telemetry_experiment",
+        "kwargs": dict(_TINY_SWARM, seed=306, poll_budget=6),
+    },
+}
+
 
 def compute_swarm_trace(name: str) -> Dict:
     spec = SWARM_TRACES[name]
@@ -318,6 +386,19 @@ def compute_matching_trace(name: str) -> Dict:
     return {"kind": "matching", "spec": {**spec, "name": name}, "result": results["reference"]}
 
 
+def compute_experiment_trace(name: str) -> Dict:
+    spec = EXPERIMENT_TRACES[name]
+    driver = getattr(experiments, spec["driver"])
+    results = {
+        engine: serialize_exact(driver(**spec["kwargs"], engine=engine))
+        for engine in ("reference", "fast")
+    }
+    assert results["reference"] == results["fast"], (
+        f"engines diverged while tracing {name}"
+    )
+    return {"kind": "experiment", "spec": {**spec, "name": name}, "result": results["reference"]}
+
+
 # -- the tests ------------------------------------------------------------------
 
 
@@ -358,8 +439,16 @@ def test_matching_golden_trace(name, regen_golden):
     check_golden(name, compute_matching_trace(name), regen_golden)
 
 
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_TRACES))
+def test_experiment_golden_trace(name, regen_golden):
+    check_golden(name, compute_experiment_trace(name), regen_golden)
+
+
 def test_golden_files_have_no_strays():
     """Every committed golden file corresponds to a trace in the catalogue."""
-    known = set(SWARM_TRACES) | set(TELEMETRY_TRACES) | set(MATCHING_TRACES)
+    known = (
+        set(SWARM_TRACES) | set(TELEMETRY_TRACES) | set(MATCHING_TRACES)
+        | set(EXPERIMENT_TRACES)
+    )
     for path in GOLDEN_DIR.glob("*.json"):
         assert path.stem in known, f"stray golden trace {path.name}"

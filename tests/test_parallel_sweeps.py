@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import time
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +84,6 @@ def _interrupt_once(value: int, seed: int, sentinel: str) -> dict:
         if not path.exists():
             path.write_text("interrupted once")
             raise KeyboardInterrupt
-    return {"value": value * 2, "seed": seed}
-
-
-def _sleep_forever(value: int, seed: int) -> dict:
-    """A hung task: sleeps far longer than any test timeout."""
-    time.sleep(2.0)
     return {"value": value * 2, "seed": seed}
 
 
@@ -273,8 +266,6 @@ class TestSweepRunner:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             SweepRunner(workers=0)
-        with pytest.raises(ValueError):
-            SweepRunner(chunk_size=0)
 
     def test_rejects_unpicklable_functions(self):
         def local_fn(seed):
@@ -310,12 +301,13 @@ class TestSweepRunner:
         assert [r["value"] for r in results] == [0, 2, 4, 6]
 
     def test_pool_matches_serial_on_plain_tasks(self):
-        tasks = [SweepTask(_echo_point, dict(value=v, seed=v)) for v in range(7)]
-        assert run_sweep(tasks) == run_sweep(tasks, workers=2, chunk_size=2)
+        # 40 tasks over 2 workers submit chunks of 2 (about 8 per worker).
+        tasks = [SweepTask(_echo_point, dict(value=v, seed=v)) for v in range(40)]
+        assert run_sweep(tasks) == run_sweep(tasks, workers=2)
 
 
 class TestSweepRobustness:
-    """Worker death, hung tasks, corrupt cache entries, interrupted sweeps."""
+    """Worker death, corrupt cache entries, interrupted sweeps."""
 
     def _tasks(self, fn=_echo_point, count=6, **extra):
         return [
@@ -335,12 +327,7 @@ class TestSweepRobustness:
     def test_pool_failure_names_the_task(self, tmp_path):
         cache = ResultCache(tmp_path)
         with pytest.raises(SweepTaskError) as info:
-            run_sweep(
-                self._tasks(_explode_on_three),
-                workers=2,
-                chunk_size=1,
-                cache=cache,
-            )
+            run_sweep(self._tasks(_explode_on_three), workers=2, cache=cache)
         err = info.value
         # The error crossed a process boundary: the cause repr is folded
         # into the message, the task identity survives as attributes.
@@ -380,93 +367,44 @@ class TestSweepRobustness:
         assert not hit
         assert not list(cache.directory.rglob("*.corrupt"))
 
-    def test_worker_sigkill_respawns_and_matches_serial(self, tmp_path):
+    def test_worker_sigkill_respawns_and_matches_serial(self, tmp_path, monkeypatch):
         """A SIGKILLed worker breaks the pool; the respawn completes the
         sweep byte-identical to an uninterrupted workers=1 run."""
+        monkeypatch.setattr(parallel_module, "_RETRY_BACKOFF", 0.0)
         sentinel = tmp_path / "died"
         tasks = self._tasks(_kill_worker_once, sentinel=str(sentinel))
-        manifest = tmp_path / "manifest.json"
-        recovered = run_sweep(
-            tasks,
-            workers=2,
-            chunk_size=1,
-            retries=2,
-            retry_backoff=0.0,
-            cache=tmp_path / "cache",
-            manifest=manifest,
-        )
+        recovered = run_sweep(tasks, workers=2, cache=tmp_path / "cache")
         assert sentinel.exists()  # the kill really happened
-        payload = json.loads(manifest.read_text())
-        assert payload["status"] == "complete"
-        assert len(payload["completed"]) == payload["total"] == len(tasks)
         # Uninterrupted serial reference (sentinel present: no more kills).
         serial = run_sweep(tasks, workers=1, cache=tmp_path / "serial-cache")
         assert recovered == serial
 
-    def test_worker_death_exhausts_retries(self, tmp_path):
+    def test_worker_death_exhausts_retries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel_module, "_RETRIES", 1)
+        monkeypatch.setattr(parallel_module, "_RETRY_BACKOFF", 0.0)
         always_dead = tmp_path / "nonexistent-dir" / "sentinel"
         tasks = self._tasks(_kill_worker_once, sentinel=str(always_dead))
         with pytest.raises(SweepTaskError, match="worker died"):
-            run_sweep(
-                tasks, workers=2, chunk_size=1, retries=1, retry_backoff=0.0
-            )
-
-    def test_timeout_treated_as_dead_worker(self):
-        tasks = self._tasks(_sleep_forever, count=2)
-        with pytest.raises(SweepTaskError, match="timed out"):
-            run_sweep(
-                tasks,
-                workers=2,
-                chunk_size=1,
-                timeout=0.25,
-                retries=0,
-                retry_backoff=0.0,
-            )
+            run_sweep(tasks, workers=2)
 
     def test_keyboard_interrupt_checkpoints_and_resumes(self, tmp_path):
-        """A ^C'd sweep flushes its manifest; rerunning resumes from the
-        cache and ends byte-identical to an uninterrupted run."""
+        """A ^C'd sweep keeps every finished task in the cache; rerunning
+        replays exactly those and ends byte-identical to an uninterrupted
+        run."""
         sentinel = tmp_path / "interrupted"
         tasks = self._tasks(_interrupt_once, sentinel=str(sentinel))
-        manifest = tmp_path / "manifest.json"
         cache_dir = tmp_path / "cache"
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(tasks, cache=cache_dir, manifest=manifest)
-        payload = json.loads(manifest.read_text())
-        assert payload["status"] == "interrupted"
-        completed_before = len(payload["completed"])
+            run_sweep(tasks, cache=cache_dir)
+        completed_before = len(list(cache_dir.rglob("*.json")))
         assert 0 < completed_before < len(tasks)  # tasks 0..2 landed
         # Resume: same sweep, same cache -- completed work replays.
         cache = ResultCache(cache_dir)
-        resumed = run_sweep(tasks, cache=cache, manifest=manifest)
+        resumed = run_sweep(tasks, cache=cache)
         assert cache.hits == completed_before
-        payload = json.loads(manifest.read_text())
-        assert payload["status"] == "complete"
-        assert len(payload["completed"]) == len(tasks)
+        assert cache.writes == len(tasks) - completed_before
         serial = run_sweep(tasks, workers=1, cache=tmp_path / "serial-cache")
         assert resumed == serial
-
-    def test_manifest_requires_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="manifest requires a cache"):
-            SweepRunner(manifest=tmp_path / "manifest.json")
-
-    def test_failed_sweep_marks_manifest(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
-        with pytest.raises(SweepTaskError):
-            run_sweep(
-                self._tasks(_explode_on_three),
-                cache=tmp_path / "cache",
-                manifest=manifest,
-            )
-        assert json.loads(manifest.read_text())["status"] == "failed"
-
-    def test_rejects_bad_robustness_parameters(self):
-        with pytest.raises(ValueError):
-            SweepRunner(timeout=0)
-        with pytest.raises(ValueError):
-            SweepRunner(retries=-1)
-        with pytest.raises(ValueError):
-            SweepRunner(retry_backoff=-0.1)
 
 
 class TestSweepDeterminism:
