@@ -26,8 +26,8 @@ def _run():
     return results
 
 
-def test_ablation_initiative_strategies(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_initiative_strategies():
+    results = _run()
     print("\nInitiative-strategy ablation (n=400, d=10, 1-matching):")
     for strategy, outcome in results.items():
         print(

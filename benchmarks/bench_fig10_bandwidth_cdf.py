@@ -19,8 +19,8 @@ def _run():
     return figure10_bandwidth_cdf(points=60)
 
 
-def test_figure10_bandwidth_cdf(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure10_bandwidth_cdf():
+    table = _run()
     print("\n" + table.to_text(float_format=".3g"))
     upstream = np.asarray(table.column("upstream_kbps"), dtype=float)
     hosts = np.asarray(table.column("percentage_of_hosts"), dtype=float)

@@ -22,8 +22,8 @@ def _run():
     return figure11_efficiency(n=N, b0=B0, expected_degree=EXPECTED_DEGREE, seed=17)
 
 
-def test_figure11_efficiency(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure11_efficiency():
+    result = _run()
     observations = result["observations"]
     print("\nFigure 11: expected D/U ratio vs upload bandwidth per slot")
     efficiency = np.asarray(result["efficiency"])

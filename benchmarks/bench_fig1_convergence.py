@@ -19,8 +19,8 @@ def _run():
     return figure1_convergence(PAPER_PARAMETERS, seed=1, max_base_units=60)
 
 
-def test_figure1_convergence(benchmark):
-    series = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure1_convergence():
+    series = _run()
     print_series_summary("Figure 1: time to reach the stable state", series)
     for (n, d), (label, data) in zip(PAPER_PARAMETERS, series.items()):
         time_to_converge = float(data["time_to_converge"][0])

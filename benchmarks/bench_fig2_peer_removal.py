@@ -21,8 +21,8 @@ def _run():
     )
 
 
-def test_figure2_peer_removal(benchmark):
-    series = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure2_peer_removal():
+    series = _run()
     print_series_summary("Figure 2: disorder after a single peer removal", series)
     max_disorders = {
         label: float(data["max_disorder"][0]) for label, data in series.items()

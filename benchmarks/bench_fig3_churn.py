@@ -21,8 +21,8 @@ def _run():
     )
 
 
-def test_figure3_churn(benchmark):
-    series = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure3_churn():
+    series = _run()
     print_series_summary("Figure 3: residual disorder under churn", series)
     tails = [float(data["tail_disorder"][0]) for data in series.values()]
     # No churn -> the system settles on the stable configuration.

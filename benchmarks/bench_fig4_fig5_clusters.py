@@ -14,8 +14,8 @@ def _run():
     return figure4_figure5_clusters(b0=2, n=3 * 1000)
 
 
-def test_figure4_figure5_clusters(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure4_figure5_clusters():
+    table = _run()
     print("\n" + table.to_text())
     rows = table.to_records()
     constant, extra = rows

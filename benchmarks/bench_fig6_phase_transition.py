@@ -18,8 +18,8 @@ def _run():
     return figure6_phase_transition(SIGMAS, b_mean=6.0, n=20000, repetitions=2, seed=7)
 
 
-def test_figure6_phase_transition(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure6_phase_transition():
+    table = _run()
     print("\n" + table.to_text())
     rows = {row["sigma"]: row for row in table.to_records()}
     # sigma = 0: constant 6-matching -> clusters of 7, MMO = 33/7.

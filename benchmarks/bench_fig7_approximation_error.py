@@ -19,8 +19,8 @@ def _run():
     return figure7_approximation_error(PROBABILITIES)
 
 
-def test_figure7_approximation_error(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure7_approximation_error():
+    table = _run()
     print("\n" + table.to_text())
     for row in table.to_records():
         p = row["p"]

@@ -23,8 +23,8 @@ def _run():
     return figure8_neighbor_distributions(PEERS, n=N, p=P)
 
 
-def test_figure8_neighbor_distributions(benchmark):
-    stats = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure8_neighbor_distributions():
+    stats = _run()
     print("\nFigure 8: distribution summaries")
     for peer in PEERS:
         print(f"  peer {peer}: " + ", ".join(f"{k}={v:.4g}" for k, v in stats[peer].items()))

@@ -21,8 +21,8 @@ def _run():
     return figure9_validation(n=N, p=P, b0=B0, samples=SAMPLES, seed=13)
 
 
-def test_figure9_validation(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_figure9_validation():
+    table = _run()
     print("\n" + table.to_text())
     rows = table.to_records()
     assert {row["choice"] for row in rows} == {1, 2}

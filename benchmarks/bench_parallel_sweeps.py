@@ -2,7 +2,7 @@
 
 ``src/repro/sim/parallel.py`` fans the replications of a sweep out over a
 ``spawn`` process pool and (optionally) caches every ``(config, seed,
-engine, version)`` point on disk.  This benchmark gates the three claims
+version)`` point on disk.  This benchmark gates the three claims
 that subsystem makes, on a paper-scale Figure 6 sweep (8 sigma points,
 N(6, sigma) matching on a complete graph):
 
@@ -76,7 +76,6 @@ def _run_sweep(
         n=n,
         repetitions=repetitions,
         seed=SEED,
-        engine="reference",
         workers=workers,
         cache=cache,
     )
@@ -146,7 +145,6 @@ def build_payload(rows: List[Dict[str, object]], mode: str) -> Dict[str, object]
             "experiment": "figure6 sigma sweep",
             "sigmas": SIGMAS,
             "b_mean": B_MEAN,
-            "engine": "reference",
             "seed": SEED,
         },
         "mode": mode,

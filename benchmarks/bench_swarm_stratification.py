@@ -19,8 +19,8 @@ def _run():
     )
 
 
-def test_swarm_stratification(benchmark):
-    metrics = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_swarm_stratification():
+    metrics = _run()
     print("\nSwarm stratification experiment:")
     for key, value in metrics.items():
         print(f"  {key}: {value:.3f}")

@@ -18,8 +18,8 @@ def _run():
     return table1_clustering(B_VALUES, sigma=0.2, repetitions=2, seed=11)
 
 
-def test_table1_clustering(benchmark):
-    table = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_table1_clustering():
+    table = _run()
     print("\n" + table.to_text())
     rows = {int(row["b"]): row for row in table.to_records()}
     for b in B_VALUES:

@@ -1,10 +1,9 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark reproduces one figure or table of the paper.  The benchmark
-bodies print the regenerated rows/series (so ``pytest benchmarks/
---benchmark-only -s`` shows the paper-shaped output) and assert the
-qualitative claims the paper makes about them; pytest-benchmark records the
-wall-clock cost of regenerating each artefact.
+Every figure script reproduces one figure or table of the paper.  Its test
+prints the regenerated rows/series (so ``pytest
+benchmarks/bench_fig6_phase_transition.py -s`` shows the paper-shaped
+output) and asserts the qualitative claims the paper makes about them.
 
 Benchmarks that track performance claims (rather than figures) also run
 headlessly without pytest -- e.g. ``python benchmarks/bench_engine_scaling.py

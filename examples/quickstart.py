@@ -21,8 +21,8 @@ from repro.core import (
     mean_max_offset,
     stable_configuration,
 )
-from repro.graphs.components import cluster_sizes
 from repro.sim.random_source import RandomSource
+from repro.stratification import analyze_complete_matching
 
 
 def main() -> None:
@@ -39,7 +39,8 @@ def main() -> None:
 
     # 3. Stability check and stratification structure.
     print(f"\nIs the configuration stable? {is_stable(stable, ranking)}")
-    clusters = cluster_sizes(stable.as_graph())
+    # Peers are in rank order, so the complete-graph shortcut applies.
+    clusters = analyze_complete_matching(list(population.slots().values())).cluster_sizes
     print(f"Collaboration clusters: {clusters} (constant b-matching -> (b+1)-cliques)")
     print(f"Mean Max Offset: {mean_max_offset(stable, ranking):.3f}")
 

@@ -52,7 +52,7 @@ behavior-free run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -341,10 +341,14 @@ BEHAVIOR_MIX_NAMES = tuple(sorted(_MIX_PRESETS))
 
 
 def _parse_mix_spec(spec: str) -> BehaviorMix:
-    """Parse ``"free_rider:0.2,nat_limited:0.3"`` (plus ``seeds:``/``groups:``)."""
+    """Parse ``"free_rider:0.2,nat_limited:0.3"`` (plus ``seeds:``/``groups:``).
+
+    Each name may appear once; a repeat raises naming its token.
+    """
     fractions: Dict[str, float] = {}
     seed_behavior = STANDARD
     locality_groups = 4
+    seen: Set[str] = set()
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -357,6 +361,9 @@ def _parse_mix_spec(spec: str) -> BehaviorMix:
         key, _, value = token.partition(":")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ValueError(f"'{key}' listed twice in the mix (token '{token}')")
+        seen.add(key)
         if key == "seeds":
             seed_behavior = value
         elif key == "groups":
@@ -368,8 +375,6 @@ def _parse_mix_spec(spec: str) -> BehaviorMix:
                     f"count an integer)"
                 ) from None
         else:
-            if key in fractions:
-                raise ValueError(f"behavior '{key}' listed twice in the mix")
             try:
                 fractions[key] = float(value)
             except ValueError:

@@ -50,7 +50,7 @@ prove it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -148,10 +148,12 @@ def _parse_resilience_spec(spec: str) -> ResiliencePolicy:
         pex:SAMPLE        gossip with samples of at most SAMPLE ids
         keepalive:T       evict crashed neighbors after T silent rounds
 
-    A malformed token raises a :class:`ValueError` naming the token, same
-    discipline as the fault-spec parser.
+    Each knob may appear once.  A malformed or repeated token raises a
+    :class:`ValueError` naming the token, same discipline as the
+    fault-spec parser.
     """
     kwargs: Dict[str, object] = {}
+    seen: Set[str] = set()
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -160,6 +162,9 @@ def _parse_resilience_spec(spec: str) -> ResiliencePolicy:
         knob = knob.strip()
         value = value.strip()
         try:
+            if knob in seen:
+                raise ValueError(f"knob '{knob}' given twice")
+            seen.add(knob)
             if knob == "trackers":
                 kwargs["trackers"] = int(value)
             elif knob == "pex":

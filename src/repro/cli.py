@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="reference",
         help=(
             "simulation backend for the engine-aware experiments "
-            "(figure1/2/3/6, table1, swarm, scenario-timeline): 'reference' "
+            "(figure1/2/3, swarm, scenario-timeline, telemetry and the "
+            "behavior, fault and resilience sweeps): 'reference' "
             "is the validated oracle, 'fast' the bit-identical vectorized "
             "engine"
         ),

@@ -254,7 +254,6 @@ def figure6_phase_transition(
     n: int = 20000,
     repetitions: int = 2,
     seed: int = 0,
-    engine: str = "reference",
     workers: int = 1,
     cache: CacheLike = None,
 ) -> ResultTable:
@@ -272,7 +271,6 @@ def figure6_phase_transition(
         list(sigmas),
         repetitions=repetitions,
         seed=seed,
-        engine=engine,
         workers=workers,
         cache=cache,
     )
@@ -297,7 +295,6 @@ def table1_clustering(
     n: Optional[int] = None,
     repetitions: int = 2,
     seed: int = 0,
-    engine: str = "reference",
     workers: int = 1,
     cache: CacheLike = None,
 ) -> ResultTable:
@@ -308,7 +305,6 @@ def table1_clustering(
         n=n,
         repetitions=repetitions,
         seed=seed,
-        engine=engine,
         workers=workers,
         cache=cache,
     )

@@ -8,22 +8,17 @@ The paper's model restricts collaborations to pairs present in an
 * :mod:`repro.graphs.erdos_renyi` -- the loopless symmetric Erdős–Rényi
   generator used throughout Sections 3 and 5.
 * :mod:`repro.graphs.complete` -- complete acceptance graphs (Section 4's
-  "toy model").
-* :mod:`repro.graphs.components` -- connected-component and cluster-size
-  analysis.
+  "toy model"); their clusters are analysed in
+  :mod:`repro.stratification.clustering`.
 """
 
 from repro.graphs.base import UndirectedGraph
 from repro.graphs.complete import complete_graph
-from repro.graphs.components import cluster_sizes, connected_components, largest_component_size
 from repro.graphs.erdos_renyi import erdos_renyi_graph, expected_degree_to_probability
 
 __all__ = [
     "UndirectedGraph",
     "complete_graph",
-    "connected_components",
-    "cluster_sizes",
-    "largest_component_size",
     "erdos_renyi_graph",
     "expected_degree_to_probability",
 ]

@@ -11,7 +11,7 @@ doubles as the configuration (matching) representation in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["UndirectedGraph"]
 
@@ -156,15 +156,6 @@ class UndirectedGraph:
                 if v in keep and u < v:
                     sub.add_edge(u, v)
         return sub
-
-    def to_networkx(self) -> Any:
-        """Convert to a :class:`networkx.Graph` (for analysis / plotting)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.vertices())
-        graph.add_edges_from(self.edges())
-        return graph
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self._adjacency

@@ -372,10 +372,10 @@ class ResultCache:
 
 
 def _rebuild_sweep_task_error(
-    message: str, label: str, seed: Any, key: Optional[str]
+    message: str, label: str, seed: Any, key: Optional[str], position: int
 ) -> "SweepTaskError":
     """Unpickle helper: rebuild a :class:`SweepTaskError` with its fields."""
-    return SweepTaskError(message, label=label, seed=seed, key=key)
+    return SweepTaskError(message, label=label, seed=seed, key=key, position=position)
 
 
 class SweepTaskError(RuntimeError):
@@ -383,7 +383,9 @@ class SweepTaskError(RuntimeError):
 
     ``label`` is the task's human-readable tag, ``seed`` its kwargs seed
     and ``key`` the cache key (when a cache was configured) -- enough to
-    rerun exactly the failing cell in isolation.  The original exception
+    rerun exactly the failing cell in isolation.  ``position`` is the
+    task's index within the chunk that ran it, which is how the parent
+    finds the task (labels need not be unique).  The original exception
     is chained as ``__cause__`` when the task ran inline; across a
     process boundary the chain does not survive pickling, so the cause's
     ``repr`` is folded into the message instead.
@@ -396,14 +398,18 @@ class SweepTaskError(RuntimeError):
         label: str = "",
         seed: Any = None,
         key: Optional[str] = None,
+        position: int = 0,
     ) -> None:
         super().__init__(message)
         self.label = label
         self.seed = seed
         self.key = key
+        self.position = position
 
     def __reduce__(self):
-        return _rebuild_sweep_task_error, (self.args[0], self.label, self.seed, self.key)
+        return _rebuild_sweep_task_error, (
+            self.args[0], self.label, self.seed, self.key, self.position
+        )
 
 
 def _run_chunk(
@@ -416,7 +422,7 @@ def _run_chunk(
     future raised.
     """
     out: List[Any] = []
-    for fn, kwargs, label in payload:
+    for position, (fn, kwargs, label) in enumerate(payload):
         try:
             out.append(fn(**kwargs))
         except Exception as exc:
@@ -426,6 +432,7 @@ def _run_chunk(
                 f"{exc!r}",
                 label=label,
                 seed=kwargs.get("seed"),
+                position=position,
             ) from exc
     return out
 
@@ -572,22 +579,15 @@ class SweepRunner:
                     ]
                     futures[ci] = pool.submit(_run_chunk, payload)
                 for ci in remaining:  # submission order == task order
-                    lo, hi = bounds[ci]
+                    lo, _hi = bounds[ci]
                     try:
                         values = futures[ci].result()
                     except SweepTaskError as exc:
                         # The task *function* raised: deterministic, no
                         # retry.  Attach the cache key now that we are
                         # back in the parent.
-                        if exc.key is None and self.cache is not None:
-                            exc.key = next(
-                                (
-                                    self.cache.key_for(task)
-                                    for task in tasks[lo:hi]
-                                    if task.label == exc.label
-                                ),
-                                None,
-                            )
+                        if self.cache is not None:
+                            exc.key = self.cache.key_for(tasks[lo + exc.position])
                         raise
                     except BrokenProcessPool as exc:
                         harvest(futures, skip=ci)

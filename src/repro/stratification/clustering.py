@@ -9,17 +9,17 @@ skip-pointer over exhausted peers, which is what makes the paper's Table 1
 required population sizes.
 
 :class:`ClusterAnalysis` summarises the collaboration graph: connected
-component (cluster) sizes via union-find, and the Mean Max Offset.
+component (cluster) sizes and the Mean Max Offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.exceptions import validate_engine
+from repro.stratification.mmo import mmo_from_edges
 
 __all__ = [
     "complete_graph_stable_matching",
@@ -84,31 +84,6 @@ def complete_graph_stable_matching(slots: Sequence[int]) -> List[Tuple[int, int]
     return edges
 
 
-class _UnionFind:
-    """Weighted quick-union with path compression."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 @dataclass
 class ClusterAnalysis:
     """Summary of a collaboration graph on ranked peers.
@@ -142,86 +117,35 @@ class ClusterAnalysis:
     connected: bool
 
 
-def _component_sizes_reference(n: int, first: np.ndarray, second: np.ndarray) -> List[int]:
-    """Connected-component sizes via the pure-Python union-find."""
-    union = _UnionFind(n)
-    for a, b in zip(first, second):
-        union.union(int(a), int(b))
-    counts: Dict[int, int] = {}
-    for index in range(n):
-        root = union.find(index)
-        counts[root] = counts.get(root, 0) + 1
-    return sorted(counts.values(), reverse=True)
-
-
-def _component_sizes_fast(n: int, first: np.ndarray, second: np.ndarray) -> List[int]:
-    """Connected-component sizes on arrays.
-
-    Uses :mod:`scipy.sparse.csgraph` (C implementation) when available and
-    falls back to the Python union-find otherwise -- scipy is an optional
-    accelerator, not a dependency.
-    """
-    try:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - exercised only without scipy
-        return _component_sizes_reference(n, first, second)
-    data = np.ones(first.size, dtype=np.int8)
-    adjacency = coo_matrix((data, (first, second)), shape=(n, n))
-    _, labels = connected_components(adjacency, directed=False)
-    return sorted(np.bincount(labels).tolist(), reverse=True)
-
-
-def analyze_complete_matching(
-    slots: Sequence[int], *, engine: str = "reference"
-) -> ClusterAnalysis:
+def analyze_complete_matching(slots: Sequence[int]) -> ClusterAnalysis:
     """Build the stable matching for ``slots`` and analyse its structure.
 
-    ``engine="fast"`` computes offsets and degrees with vectorized numpy
-    scatter operations and delegates connected components to scipy's C
-    implementation when present; ``"reference"`` (default) keeps the
-    per-edge Python loop.  Both return identical analyses (asserted by the
-    equivalence tests).
+    Clusters are the connected components found by
+    :mod:`scipy.sparse.csgraph`; the MMO is
+    :func:`repro.stratification.mmo.mmo_from_edges` of the matched pairs.
     """
-    validate_engine(engine)
+    # Imported here: scipy.sparse takes ~0.4 s to import, which every CLI
+    # command and every spawned sweep worker would otherwise pay.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = len(slots)
     edges = complete_graph_stable_matching(slots)
-    if engine == "fast":
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        better = pairs[:, 0] - 1
-        worse = pairs[:, 1] - 1
-        offsets = worse - better
-        max_offset = np.zeros(n, dtype=np.int64)
-        np.maximum.at(max_offset, better, offsets)
-        np.maximum.at(max_offset, worse, offsets)
-        has_mate = np.zeros(n, dtype=bool)
-        has_mate[better] = True
-        has_mate[worse] = True
-        sizes = _component_sizes_fast(n, better, worse)
-    else:
-        max_offset = np.zeros(n, dtype=np.int64)
-        has_mate = np.zeros(n, dtype=bool)
-        for better, worse in edges:
-            offset = worse - better
-            has_mate[better - 1] = True
-            has_mate[worse - 1] = True
-            if offset > max_offset[better - 1]:
-                max_offset[better - 1] = offset
-            if offset > max_offset[worse - 1]:
-                max_offset[worse - 1] = offset
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        sizes = _component_sizes_reference(n, pairs[:, 0] - 1, pairs[:, 1] - 1)
-
-    matched = int(has_mate.sum())
-    mmo = float(max_offset[has_mate].mean()) if matched else 0.0
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    adjacency = coo_matrix(
+        (np.ones(len(edges), dtype=np.int8), (pairs[:, 0] - 1, pairs[:, 1] - 1)),
+        shape=(n, n),
+    )
+    _, labels = connected_components(adjacency, directed=False)
+    sizes = sorted(np.bincount(labels).tolist(), reverse=True)
     return ClusterAnalysis(
         n=n,
         edges=len(edges),
         cluster_sizes=sizes,
         mean_cluster_size=float(np.mean(sizes)) if sizes else 0.0,
         largest_cluster=sizes[0] if sizes else 0,
-        mean_max_offset=mmo,
-        connected=len(sizes) == 1 and n > 0,
+        mean_max_offset=mmo_from_edges(pairs, n) if n else 0.0,
+        connected=len(sizes) == 1,
     )
 
 

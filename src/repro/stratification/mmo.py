@@ -9,7 +9,7 @@ face of stratification.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,31 +41,34 @@ def mmo_constant_matching_limit(b0: int) -> float:
     return 0.75 * b0
 
 
-def mmo_from_edges(edges: Sequence[Tuple[int, int]], n: int) -> float:
+def mmo_from_edges(edges: Union[Sequence[Tuple[int, int]], np.ndarray], n: int) -> float:
     """Empirical MMO of a collaboration graph given as rank-labelled edges.
 
     Parameters
     ----------
     edges:
-        Collaboration pairs given as 1-based rank tuples.
+        Collaboration pairs given as 1-based rank tuples (or an ``(m, 2)``
+        integer array of them).
     n:
         Total number of peers (unmatched peers are excluded from the mean,
         as in the complete-graph analysis where every peer is matched).
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    pairs = np.asarray(edges)
+    if pairs.size and pairs.dtype.kind not in "iu":
+        raise ValueError("edge ranks must be integers")
+    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+    outside = ((pairs < 1) | (pairs > n)).any(axis=1)
+    if outside.any():
+        a, b = pairs[np.argmax(outside)]
+        raise ValueError(f"edge ({a}, {b}) references ranks outside 1..{n}")
+    offsets = np.abs(pairs[:, 0] - pairs[:, 1])
     max_offset = np.zeros(n, dtype=np.int64)
     matched = np.zeros(n, dtype=bool)
-    for a, b in edges:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"edge ({a}, {b}) references ranks outside 1..{n}")
-        offset = abs(a - b)
-        matched[a - 1] = True
-        matched[b - 1] = True
-        if offset > max_offset[a - 1]:
-            max_offset[a - 1] = offset
-        if offset > max_offset[b - 1]:
-            max_offset[b - 1] = offset
+    for ranks in pairs.T:
+        np.maximum.at(max_offset, ranks - 1, offsets)
+        matched[ranks - 1] = True
     if not matched.any():
         return 0.0
     return float(max_offset[matched].mean())

@@ -52,7 +52,6 @@ def _sigma_repetition_point(
     sigma: float,
     repetition: int,
     seed: int,
-    engine: str,
 ) -> Dict[str, float]:
     """One (sigma, repetition) replication -- the unit of the sweeps.
 
@@ -64,7 +63,7 @@ def _sigma_repetition_point(
     source = RandomSource(seed)
     rng = source.fresh_stream(f"slots-{sigma}-{repetition}")
     slots = rounded_normal_slots(n, b_mean, sigma, rng)
-    analysis = analyze_complete_matching(slots, engine=engine)
+    analysis = analyze_complete_matching(slots)
     return {
         "mean_cluster_size": float(analysis.mean_cluster_size),
         "mean_max_offset": float(analysis.mean_max_offset),
@@ -73,7 +72,7 @@ def _sigma_repetition_point(
 
 
 def _sigma_tasks(
-    n: int, b_mean: float, sigma: float, repetitions: int, seed: int, engine: str
+    n: int, b_mean: float, sigma: float, repetitions: int, seed: int
 ) -> List[SweepTask]:
     """The replication tasks of one sweep point.
 
@@ -85,14 +84,7 @@ def _sigma_tasks(
     return [
         SweepTask(
             _sigma_repetition_point,
-            dict(
-                n=n,
-                b_mean=b_mean,
-                sigma=sigma,
-                repetition=repetition,
-                seed=seed,
-                engine=engine,
-            ),
+            dict(n=n, b_mean=b_mean, sigma=sigma, repetition=repetition, seed=seed),
             label=f"sigma={sigma:g}#rep{repetition}",
         )
         for repetition in range(repetitions)
@@ -119,14 +111,11 @@ def variable_matching_statistics(
     *,
     repetitions: int = 3,
     seed: int = 0,
-    engine: str = "reference",
     workers: int = 1,
     cache: CacheLike = None,
 ) -> SigmaSweepPoint:
     """Average cluster size and MMO for N(b_mean, sigma^2) slot budgets.
 
-    ``engine`` selects the clustering backend (see
-    :func:`repro.stratification.clustering.analyze_complete_matching`);
     ``workers`` fans the repetitions out across processes and ``cache``
     (a directory or :class:`~repro.sim.parallel.ResultCache`) replays
     previously computed repetitions -- both without changing a bit of the
@@ -134,7 +123,7 @@ def variable_matching_statistics(
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
-    tasks = _sigma_tasks(n, b_mean, sigma, repetitions, seed, engine)
+    tasks = _sigma_tasks(n, b_mean, sigma, repetitions, seed)
     outputs = run_sweep(tasks, workers=workers, cache=cache)
     return _sweep_point(sigma, repetitions, outputs)
 
@@ -146,7 +135,6 @@ def sigma_sweep(
     *,
     repetitions: int = 3,
     seed: int = 0,
-    engine: str = "reference",
     workers: int = 1,
     cache: CacheLike = None,
 ) -> List[SigmaSweepPoint]:
@@ -160,7 +148,7 @@ def sigma_sweep(
         raise ValueError("repetitions must be positive")
     tasks: List[SweepTask] = []
     for index, sigma in enumerate(sigmas):
-        tasks.extend(_sigma_tasks(n, b_mean, sigma, repetitions, seed + index, engine))
+        tasks.extend(_sigma_tasks(n, b_mean, sigma, repetitions, seed + index))
     outputs = run_sweep(tasks, workers=workers, cache=cache)
     return [
         _sweep_point(
@@ -179,7 +167,6 @@ def table1(
     n: Optional[int] = None,
     repetitions: int = 3,
     seed: int = 0,
-    engine: str = "reference",
     workers: int = 1,
     cache: CacheLike = None,
 ) -> List[Dict[str, float]]:
@@ -203,9 +190,7 @@ def table1(
         # above the expected size while bounding the run time.
         population = n if n is not None else min(60_000, max(5_000, 40 * (b + 1) ** 4))
         populations.append(population)
-        tasks.extend(
-            _sigma_tasks(population, float(b), sigma, repetitions, seed + index, engine)
-        )
+        tasks.extend(_sigma_tasks(population, float(b), sigma, repetitions, seed + index))
     outputs = run_sweep(tasks, workers=workers, cache=cache)
     rows: List[Dict[str, float]] = []
     for index, b in enumerate(b_values):
@@ -233,7 +218,6 @@ def estimate_transition_sigma(
     threshold_factor: float = 4.0,
     repetitions: int = 3,
     seed: int = 0,
-    engine: str = "reference",
     workers: int = 1,
     cache: CacheLike = None,
 ) -> float:
@@ -251,7 +235,6 @@ def estimate_transition_sigma(
         list(sigmas),
         repetitions=repetitions,
         seed=seed,
-        engine=engine,
         workers=workers,
         cache=cache,
     )

@@ -187,6 +187,18 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             make_behavior_mix(spec)
 
+    @pytest.mark.parametrize(
+        "spec, token",
+        [
+            ("seeds:free_rider,seeds:super_seed", "seeds:super_seed"),
+            ("groups:2,groups:3", "groups:3"),
+        ],
+    )
+    def test_repeated_knob_names_its_token(self, spec, token):
+        # Each name may appear once: a repeat must not overwrite.
+        with pytest.raises(ValueError, match=f"token '{token}'"):
+            make_behavior_mix(spec)
+
     @pytest.mark.parametrize("token", ["groups:abc", "groups:2.5"])
     def test_bad_group_count_names_its_token(self, token):
         with pytest.raises(ValueError) as excinfo:

@@ -18,7 +18,7 @@ from repro.core.metrics import mean_max_offset, mean_max_offset_exact_constant
 from repro.core.peer import Peer, PeerPopulation
 from repro.core.ranking import GlobalRanking
 from repro.core.stable import stable_configuration
-from repro.graphs.components import cluster_sizes
+from repro.stratification.clustering import complete_graph_stable_matching
 
 
 class TestAcceptanceGraph:
@@ -184,7 +184,7 @@ class TestStableConfiguration:
         assert sorted(stable.mates(1)) == [2, 3]
         assert sorted(stable.mates(5)) == [4, 6]
         assert sorted(stable.mates(9)) == [7, 8]
-        assert cluster_sizes(stable.as_graph()) == [3, 3, 3]
+        assert sorted(stable.pairs()) == sorted(complete_graph_stable_matching([2] * 9))
 
     def test_mmo_matches_closed_form(self, small_complete_acceptance, ranking):
         stable = stable_configuration(small_complete_acceptance, ranking)

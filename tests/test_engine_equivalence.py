@@ -5,8 +5,7 @@ agreement: under a shared seeded :class:`~repro.sim.random_source.RandomSource`
 it must reproduce the reference engine's stable configurations, disorder
 trajectories and final matchings *bit for bit*.  These tests enforce that
 contract on three graph families (complete, Erdős–Rényi, small handcrafted
-instances), for all three initiative strategies, for the churn pipeline and
-for the stratification clustering backend.
+instances), for all three initiative strategies and for the churn pipeline.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.core.peer import Peer, PeerPopulation
 from repro.core.ranking import GlobalRanking
 from repro.core.stable import stable_configuration
 from repro.sim.random_source import RandomSource
-from repro.stratification.clustering import analyze_complete_matching
 
 _settings = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -235,25 +233,6 @@ class TestChurnEquivalence:
             ChurnConfig(engine="warp")
 
 
-# -- stratification clustering backend --------------------------------------------
-
-
-class TestClusteringEquivalence:
-    @_settings
-    @given(
-        slots=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=80)
-    )
-    def test_cluster_analysis_property(self, slots):
-        reference = analyze_complete_matching(slots)
-        fast = analyze_complete_matching(slots, engine="fast")
-        assert fast == reference
-
-    def test_known_constant_case(self):
-        fast = analyze_complete_matching([2] * 12, engine="fast")
-        assert fast.cluster_sizes == [3, 3, 3, 3]
-        assert fast.connected is False
-
-
 # -- engine guardrails ------------------------------------------------------------
 
 
@@ -262,8 +241,6 @@ class TestEngineInterface:
         acceptance = _er_acceptance(10, 3.0, 1, 0)
         with pytest.raises(ModelError):
             ConvergenceSimulator(acceptance, engine="warp")
-        with pytest.raises(ModelError):
-            analyze_complete_matching([1, 1], engine="warp")
 
     def test_custom_strategy_requires_reference_engine(self):
         from repro.core.initiatives import BestMateInitiative, InitiativeStrategy

@@ -1,4 +1,4 @@
-"""Tests for the graph substrate (base structure, generators, components)."""
+"""Tests for the graph substrate (base structure and generators)."""
 
 from __future__ import annotations
 
@@ -14,14 +14,6 @@ from repro.core.peer import PeerPopulation
 from repro.graphs import erdos_renyi as erdos_renyi_module
 from repro.graphs.base import UndirectedGraph
 from repro.graphs.complete import complete_graph
-from repro.graphs.components import (
-    cluster_sizes,
-    component_of,
-    connected_components,
-    is_connected,
-    largest_component_size,
-    mean_cluster_size,
-)
 from repro.graphs.erdos_renyi import (
     _pairs_from_indices,
     erdos_renyi_expected_degree,
@@ -114,12 +106,6 @@ class TestUndirectedGraph:
         with pytest.raises(ValueError):
             graph.relabel({0: 5, 1: 6, 2: 5})
         assert graph.has_edge(0, 1)
-
-    def test_to_networkx_roundtrip(self):
-        graph = complete_graph(4)
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 6
 
 
 class TestErdosRenyi:
@@ -390,31 +376,3 @@ class TestOtherGenerators:
         assert graph.edge_count == 15
         assert all(graph.degree(v) == 5 for v in graph.vertices())
 
-
-class TestComponents:
-    def test_components_of_disconnected_graph(self):
-        graph = UndirectedGraph(range(1, 7))
-        graph.add_edge(1, 2)
-        graph.add_edge(3, 4)
-        components = connected_components(graph)
-        assert [len(c) for c in components] == [2, 2, 1, 1]
-        assert cluster_sizes(graph) == [2, 2, 1, 1]
-        assert largest_component_size(graph) == 2
-        assert not is_connected(graph)
-
-    def test_component_of(self):
-        graph = UndirectedGraph()
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 3)
-        graph.add_vertex(9)
-        assert component_of(graph, 1) == [1, 2, 3]
-        assert component_of(graph, 9) == [9]
-
-    def test_mean_cluster_size(self):
-        graph = UndirectedGraph(range(4))
-        graph.add_edge(0, 1)
-        assert mean_cluster_size(graph) == pytest.approx(4 / 3)
-        assert mean_cluster_size(graph, ignore_isolated=True) == 2.0
-
-    def test_complete_graph_is_connected(self):
-        assert is_connected(complete_graph(5))

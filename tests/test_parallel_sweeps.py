@@ -334,13 +334,28 @@ class TestSweepRobustness:
         assert err.label == "cell3" and err.seed == 3
         assert err.key is not None and "boom value=3" in str(err)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_key_names_the_unlabelled_task(self, tmp_path, workers):
+        # 40 tasks over 2 workers run in chunks of 2; task 1 (value 3)
+        # raises second in its chunk, and no label tells it from task 0.
+        tasks = [
+            SweepTask(_explode_on_three, dict(value=v + 2, seed=v)) for v in range(40)
+        ]
+        cache = ResultCache(tmp_path)
+        with pytest.raises(SweepTaskError) as info:
+            run_sweep(tasks, workers=workers, cache=cache)
+        assert info.value.seed == 1
+        assert info.value.key == cache.key_for(tasks[1])
+
     def test_sweep_task_error_survives_pickling(self):
         import pickle
 
-        err = SweepTaskError("msg", label="cell1", seed=9, key="abc")
+        err = SweepTaskError("msg", label="cell1", seed=9, key="abc", position=2)
         clone = pickle.loads(pickle.dumps(err))
         assert isinstance(clone, SweepTaskError)
-        assert (clone.label, clone.seed, clone.key) == ("cell1", 9, "abc")
+        assert (clone.label, clone.seed, clone.key, clone.position) == (
+            "cell1", 9, "abc", 2
+        )
         assert str(clone) == "msg"
 
     def test_corrupt_entry_quarantined_to_dot_corrupt(self, tmp_path):
@@ -590,13 +605,12 @@ class TestCliThreading:
         # Shrink the experiment through the registry so the test stays fast.
         original = cli._EXPERIMENTS["figure6"]
 
-        def small_figure6(*, seed=0, engine="reference", workers=1, cache=None):
+        def small_figure6(*, seed=0, workers=1, cache=None):
             return figure6_phase_transition(
                 sigmas=[0.0, 0.3],
                 n=300,
                 repetitions=1,
                 seed=seed,
-                engine=engine,
                 workers=workers,
                 cache=cache,
             )

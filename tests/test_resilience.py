@@ -108,6 +108,9 @@ class TestMakeResilience:
             ("trackers:3,pex:many", "pex:many"),
             ("keepalive:", "keepalive:"),
             ("replicas:3", "replicas:3"),
+            # Each knob may appear once: a repeat must not overwrite.
+            ("trackers:2,trackers:3", "trackers:3"),
+            ("pex:8,pex", "pex"),
         ],
     )
     def test_errors_name_the_offending_token(self, spec, token):

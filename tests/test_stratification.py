@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from collections import deque
+from typing import List, Set
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.acceptance import AcceptanceGraph
+from repro.core.matching import Matching
+from repro.core.metrics import mean_max_offset
 from repro.core.peer import PeerPopulation
+from repro.core.ranking import GlobalRanking
 from repro.core.stable import stable_configuration
 from repro.stratification.bvalues import constant_slots, rounded_normal_slots, slot_statistics
 from repro.stratification.clustering import (
@@ -105,6 +113,47 @@ class TestCompleteGraphMatching:
         assert edges == [(1, 3)]
 
 
+def _bfs_cluster_sizes(matching: Matching) -> List[int]:
+    """Connected-component sizes of a matching's graph, descending."""
+    seen: Set[int] = set()
+    sizes: List[int] = []
+    for start in matching.peer_ids():
+        if start in seen:
+            continue
+        seen.add(start)
+        frontier = deque([start])
+        size = 0
+        while frontier:
+            peer = frontier.popleft()
+            size += 1
+            for mate in matching.mates(peer):
+                if mate not in seen:
+                    seen.add(mate)
+                    frontier.append(mate)
+        sizes.append(size)
+    return sorted(sizes, reverse=True)
+
+
+class TestClusterAnalysisOracle:
+    """``analyze_complete_matching`` against Algorithm 1 and a plain BFS."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(slots=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60))
+    def test_agrees_with_algorithm1_on_the_complete_graph(self, slots):
+        population = PeerPopulation.ranked(len(slots), slots=slots)
+        ranking = GlobalRanking.from_population(population)
+        stable = stable_configuration(AcceptanceGraph.complete(population), ranking)
+        sizes = _bfs_cluster_sizes(stable)
+        analysis = analyze_complete_matching(slots)
+        assert analysis.n == len(slots)
+        assert analysis.edges == stable.pair_count()
+        assert analysis.cluster_sizes == sizes
+        assert analysis.largest_cluster == sizes[0]
+        assert analysis.mean_cluster_size == float(np.mean(sizes))
+        assert analysis.connected == (len(sizes) == 1)
+        assert analysis.mean_max_offset == mean_max_offset(stable, ranking)
+
+
 class TestMMO:
     def test_table1_constant_values(self):
         # Paper Table 1: 1.67, 2.5, 3.2, 4, 4.71, 5.5 for b0 = 2..7.
@@ -121,6 +170,8 @@ class TestMMO:
         assert mmo_from_edges(edges, 3) == 1.0
         with pytest.raises(ValueError):
             mmo_from_edges([(0, 2)], 3)
+        with pytest.raises(ValueError, match="integers"):
+            mmo_from_edges([(1.5, 2)], 3)
 
     def test_empirical_mmo_matches_closed_form(self):
         analysis = analyze_complete_matching(constant_slots(30, 5))
