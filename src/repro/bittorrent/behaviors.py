@@ -56,6 +56,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.bittorrent.specs import parse_tokens
+
 __all__ = [
     "BEHAVIOR_NAMES",
     "BEHAVIOR_MIX_NAMES",
@@ -343,16 +345,17 @@ BEHAVIOR_MIX_NAMES = tuple(sorted(_MIX_PRESETS))
 def _parse_mix_spec(spec: str) -> BehaviorMix:
     """Parse ``"free_rider:0.2,nat_limited:0.3"`` (plus ``seeds:``/``groups:``).
 
-    Each name may appear once; a repeat raises naming its token.
+    Each name may appear once; a repeat raises naming its token.  A bad
+    token's error names its 1-based ordinal and its character span, as the
+    fault-spec parser's does (:func:`repro.bittorrent.specs.parse_tokens`).
     """
     fractions: Dict[str, float] = {}
     seed_behavior = STANDARD
     locality_groups = 4
     seen: Set[str] = set()
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
+
+    def parse(token: str) -> None:
+        nonlocal seed_behavior, locality_groups
         if ":" not in token:
             raise ValueError(
                 f"bad behavior-mix token '{token}' (expected name:fraction, "
@@ -381,6 +384,8 @@ def _parse_mix_spec(spec: str) -> BehaviorMix:
                 raise ValueError(
                     f"bad behavior fraction '{value}' for '{key}'"
                 ) from None
+
+    parse_tokens("behavior-mix", spec, parse)
     return BehaviorMix(
         fractions=fractions,
         seed_behavior=seed_behavior,

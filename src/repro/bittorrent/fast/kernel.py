@@ -21,11 +21,13 @@ rarest-first sorts by -- so this loop stays a loop too.
 The C source is the :data:`SOURCE` constant of this module, so
 :func:`repro.sim.parallel.source_fingerprint` (which hashes ``*.py``)
 sees every kernel change and a wheel ships the kernel with the package.
-:func:`load` compiles it once per process, with the compiler Python was
-built with, inside a temporary directory, and loads it with
-:mod:`ctypes`.  Without a working compiler the fast engine cannot run:
-:class:`KernelBuildError` names the command and its stderr.
-``engine="reference"`` needs no compiler and is bit-identical.
+:func:`load` compiles it once per process through
+:func:`repro.sim.native.build`, the loader the fast matching engine's
+kernel (:mod:`repro.core.fast.kernel`) shares.  Without a working
+compiler the fast engine cannot run:
+:class:`~repro.sim.native.KernelBuildError` names the engine, the command
+and its stderr.  ``engine="reference"`` needs no compiler and is
+bit-identical.
 
 Bit-identity with the reference backend rests on two rules
 (``docs/determinism.md``):
@@ -54,20 +56,15 @@ Bit-identity with the reference backend rests on two rules
 from __future__ import annotations
 
 import ctypes
-import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.bittorrent.fast.bitfields import BitfieldMatrix
+from repro.sim import native
 
 __all__ = [
     "SOURCE",
-    "KernelBuildError",
     "load",
     "leecher_unchoke",
     "apply_transfers",
@@ -358,10 +355,6 @@ void apply_transfers(
 }
 """
 
-# Optimise, but never contract or reassociate float operations: no
-# -ffast-math, and GCC's GNU-mode default -ffp-contract=fast may fuse into FMAs.
-_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
 _POLICIES = {"rarest-first": 0, "random": 1, "sequential": 2}
 
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -398,47 +391,12 @@ _SIGNATURES: Dict[str, Tuple[Any, Tuple[Any, ...]]] = {
 _library: Optional[ctypes.CDLL] = None
 
 
-class KernelBuildError(RuntimeError):
-    """The C kernel of the fast swarm engine could not be compiled."""
-
-
 def load() -> ctypes.CDLL:
     """The compiled kernel, built on the first call in this process."""
     global _library
     if _library is None:
-        _library = _build()
+        _library = native.build("the fast swarm engine", SOURCE, _SIGNATURES)
     return _library
-
-
-def _build() -> ctypes.CDLL:
-    command: List[str] = [
-        *shlex.split(sysconfig.get_config_var("CC") or "cc"),
-        *_FLAGS,
-    ]
-    with tempfile.TemporaryDirectory() as build_dir:
-        source = os.path.join(build_dir, "kernel.c")
-        target = os.path.join(build_dir, "kernel.so")
-        with open(source, "w", encoding="utf-8") as handle:
-            handle.write(SOURCE)
-        argv = [*command, "-o", target, source]
-        try:
-            done = subprocess.run(argv, capture_output=True, text=True, check=False)
-            failure = done.stderr.strip() if done.returncode else None
-        except OSError as error:
-            failure = str(error)
-        if failure is not None:
-            raise KernelBuildError(
-                "the fast swarm engine compiles a C kernel, and "
-                f"`{shlex.join(command)}` failed:\n{failure}\n"
-                'Install a C compiler, or use engine="reference", which needs '
-                "none and is bit-identical."
-            )
-        library = ctypes.CDLL(target)
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        function = getattr(library, name)
-        function.argtypes = argtypes
-        function.restype = restype
-    return library
 
 
 def bounded_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.bittorrent.specs import parse_tokens
 from repro.sim.faults import RoundWindow, next_retry_round
 
 __all__ = [
@@ -503,24 +504,6 @@ def _parse_window(value: str) -> Tuple[int, int]:
     return start, rounds
 
 
-def _iter_spec_tokens(spec: str):
-    """Yield ``(ordinal, token, start_char, end_char)`` per non-empty token.
-
-    Character positions index into the *original* spec string (0-based,
-    end exclusive), so an error can point at exactly the slice the user
-    typed, commas and surrounding whitespace excluded.
-    """
-    offset = 0
-    ordinal = 0
-    for raw in spec.split(","):
-        stripped = raw.strip()
-        if stripped:
-            ordinal += 1
-            start = offset + (len(raw) - len(raw.lstrip()))
-            yield ordinal, stripped, start, start + len(stripped)
-        offset += len(raw) + 1  # the token plus the comma it lost
-
-
 def _parse_one_fault(token: str) -> FaultEvent:
     """Parse a single ``kind:params`` token (positions added by the caller)."""
     if ":" not in token:
@@ -604,19 +587,10 @@ def _parse_faults_spec(spec: str) -> FaultSchedule:
         partition:START+ROUNDS/G     G-way partition
 
     A malformed token raises a :class:`ValueError` naming the token, its
-    1-based ordinal and its character span in the spec string, so a typo
-    in a long composite spec is locatable without bisecting it.
+    1-based ordinal and its character span in the spec string
+    (:func:`repro.bittorrent.specs.parse_tokens`).
     """
-    events: List[FaultEvent] = []
-    for ordinal, token, start_char, end_char in _iter_spec_tokens(spec):
-        try:
-            events.append(_parse_one_fault(token))
-        except ValueError as exc:
-            raise ValueError(
-                f"fault spec error in token {ordinal} ('{token}', "
-                f"chars {start_char}-{end_char}): {exc}"
-            ) from None
-    return FaultSchedule(tuple(events))
+    return FaultSchedule(tuple(parse_tokens("fault", spec, _parse_one_fault)))
 
 
 def make_faults(spec: str) -> FaultSchedule:

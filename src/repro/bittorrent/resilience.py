@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.bittorrent.faults import FaultSchedule
+from repro.bittorrent.specs import parse_tokens
 
 __all__ = [
     "RESILIENCE_PRESET_NAMES",
@@ -149,39 +150,35 @@ def _parse_resilience_spec(spec: str) -> ResiliencePolicy:
         keepalive:T       evict crashed neighbors after T silent rounds
 
     Each knob may appear once.  A malformed or repeated token raises a
-    :class:`ValueError` naming the token, same discipline as the
-    fault-spec parser.
+    :class:`ValueError` naming the token, its 1-based ordinal and its
+    character span, as the fault-spec parser does
+    (:func:`repro.bittorrent.specs.parse_tokens`).
     """
     kwargs: Dict[str, object] = {}
     seen: Set[str] = set()
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
+
+    def parse(token: str) -> None:
         knob, colon, value = token.partition(":")
         knob = knob.strip()
         value = value.strip()
-        try:
-            if knob in seen:
-                raise ValueError(f"knob '{knob}' given twice")
-            seen.add(knob)
-            if knob == "trackers":
-                kwargs["trackers"] = int(value)
-            elif knob == "pex":
-                kwargs["pex"] = True
-                if colon:
-                    kwargs["pex_sample"] = int(value)
-            elif knob == "keepalive":
-                kwargs["keepalive_timeout"] = int(value)
-            else:
-                raise ValueError(
-                    "unknown resilience knob (available: trackers:N, "
-                    "pex[:SAMPLE], keepalive:T)"
-                )
-        except ValueError as exc:
+        if knob in seen:
+            raise ValueError(f"knob '{knob}' given twice")
+        seen.add(knob)
+        if knob == "trackers":
+            kwargs["trackers"] = int(value)
+        elif knob == "pex":
+            kwargs["pex"] = True
+            if colon:
+                kwargs["pex_sample"] = int(value)
+        elif knob == "keepalive":
+            kwargs["keepalive_timeout"] = int(value)
+        else:
             raise ValueError(
-                f"resilience spec error in token '{token}': {exc}"
-            ) from None
+                "unknown resilience knob (available: trackers:N, "
+                "pex[:SAMPLE], keepalive:T)"
+            )
+
+    parse_tokens("resilience", spec, parse)
     return ResiliencePolicy(**kwargs)  # type: ignore[arg-type]
 
 

@@ -2,6 +2,8 @@
 
 Runs one of the paper's experiments and prints the resulting table or
 series summary.  ``repro-p2p list`` shows the available experiment names.
+An experiment option its driver does not take (``figure7 --engine fast``)
+is a usage error; ``all`` passes each option to the drivers that take it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import inspect
 import pstats
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,6 +94,25 @@ _EXPERIMENTS: Dict[str, Callable[[], object]] = {
 }
 
 
+class _Given(argparse.Action):
+    """Stores an experiment option and notes its dest in ``args.given``.
+
+    The notes tell an option set on the command line apart from one left
+    at its default, even when the two values are equal.
+    """
+
+    def __call__(
+        self,
+        parser: argparse.ArgumentParser,
+        namespace: argparse.Namespace,
+        values: Union[str, Sequence[Any], None],
+        option_string: Optional[str] = None,
+    ) -> None:
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        if self.dest not in namespace.given:
+            namespace.given = (*namespace.given, self.dest)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -106,11 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_EXPERIMENTS) + ["list", "all"],
         help="experiment to run ('list' to enumerate, 'all' to run everything)",
     )
+    # The experiment options: each sets the driver parameter named by its
+    # dest, and _Given notes it in args.given.
+    parser.set_defaults(given=())
     parser.add_argument(
-        "--seed", type=int, default=0, help="base random seed (where applicable)"
+        "--seed", action=_Given, type=int, default=0, help="base random seed (where applicable)"
     )
     parser.add_argument(
         "--engine",
+        action=_Given,
         choices=sorted(ENGINES),
         default="reference",
         help=(
@@ -123,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scenario",
+        action=_Given,
         choices=sorted(SCENARIO_NAMES),
         default=None,
         help=(
@@ -136,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--behavior-mix",
+        action=_Given,
         default=None,
         metavar="MIX",
         help=(
@@ -148,6 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--faults",
+        action=_Given,
         default=None,
         metavar="SCHEDULE",
         help=(
@@ -159,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--resilience",
+        action=_Given,
         default=None,
         metavar="POLICY",
         help=(
@@ -171,7 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--observe",
-        action="store_true",
+        action=_Given,
+        nargs=0,
+        const=True,
+        default=False,
         help=(
             "attach the scrape-and-poll measurement layer to the swarm "
             "experiment (adds reported/confirmed downloads and the observed "
@@ -180,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scrape-interval",
+        action=_Given,
         type=int,
         default=None,
         metavar="ROUNDS",
@@ -191,12 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
+        action=_Given,
         type=int,
         default=1,
         help=(
             "process-pool width for the sweep-style experiments "
-            "(figure1/2/3/6, table1, swarm, scenario-timeline); results are "
-            "bit-identical for any value, 1 runs inline"
+            "(figure1/2/3/6, table1, swarm, scenario-timeline and the "
+            "sweeps); results are bit-identical for any value, 1 runs inline"
         ),
     )
     parser.add_argument(
@@ -243,39 +277,30 @@ def _runner_kwargs(
     args: argparse.Namespace,
     cache: Optional[ResultCache] = None,
 ) -> Dict[str, object]:
-    """Thread only the CLI options the experiment driver actually accepts."""
+    """Thread the CLI options the experiment driver takes.
+
+    ``--seed``, ``--engine`` and ``--workers`` reach every driver that
+    takes them; the other options only when the command line set them.
+    """
     parameters = inspect.signature(runner).parameters
-    kwargs: Dict[str, object] = {}
-    if "seed" in parameters:
-        kwargs["seed"] = args.seed
-    if "engine" in parameters:
-        kwargs["engine"] = args.engine
-    if "scenario" in parameters and args.scenario is not None:
-        kwargs["scenario"] = args.scenario
-    if "observe" in parameters and getattr(args, "observe", False):
-        kwargs["observe"] = True
-    if (
-        "scrape_interval" in parameters
-        and getattr(args, "scrape_interval", None) is not None
-    ):
-        kwargs["scrape_interval"] = args.scrape_interval
-    if (
-        "behavior_mix" in parameters
-        and getattr(args, "behavior_mix", None) is not None
-    ):
-        kwargs["behavior_mix"] = args.behavior_mix
-    if "faults" in parameters and getattr(args, "faults", None) is not None:
-        kwargs["faults"] = args.faults
-    if (
-        "resilience" in parameters
-        and getattr(args, "resilience", None) is not None
-    ):
-        kwargs["resilience"] = args.resilience
-    if "workers" in parameters:
-        kwargs["workers"] = 1 if getattr(args, "profile", False) else args.workers
+    kwargs: Dict[str, object] = {
+        dest: getattr(args, dest)
+        for dest in ("seed", "engine", "workers", *args.given)
+        if dest in parameters
+    }
+    if "workers" in kwargs and args.profile:
+        kwargs["workers"] = 1
     if "cache" in parameters and cache is not None:
         kwargs["cache"] = cache
     return kwargs
+
+
+def _refused_options(runner: Callable[..., object], args: argparse.Namespace) -> List[str]:
+    """The options set on the command line that ``runner`` does not take."""
+    parameters = inspect.signature(runner).parameters
+    return [
+        "--" + dest.replace("_", "-") for dest in args.given if dest not in parameters
+    ]
 
 
 def _profiled(call: Callable[[], object]) -> object:
@@ -322,6 +347,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    if args.experiment != "all":
+        refused = _refused_options(_EXPERIMENTS[args.experiment], args)
+        if refused:
+            parser.error(f"{args.experiment} takes no {', '.join(refused)}")
     cache = _build_cache(args)
     for name in names:
         print(f"### {name}")

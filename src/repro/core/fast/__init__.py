@@ -24,7 +24,8 @@ repeated here: it is written once, in
   random strategy so that it consumes the random stream exactly like the
   reference implementation).  Global-ranking comparisons are precomputed
   into ``rank`` / ``adj_rank`` arrays, so preference tests are integer
-  comparisons with no hashing.
+  comparisons with no hashing.  A build reads every neighbor set in one
+  pass and orders all rows with two sorts.
 
 * :mod:`repro.core.fast.engine` -- :class:`FastMatching`, the mutable
   configuration: a fixed-width ``(n, b_max)`` mate table plus per-peer
@@ -35,6 +36,13 @@ repeated here: it is written once, in
   rank-sorted neighborhood.  The module also hosts the array version of
   Algorithm 1 (:func:`fast_stable_table`) and the fully vectorized
   disorder metric.
+
+* :mod:`repro.core.fast.kernel` -- Algorithm 1's greedy pass in C, one
+  call over the rank-sorted CSR.  It is compiled once per process, on
+  first use, through the loader the fast swarm shares
+  (:mod:`repro.sim.native`), so the fast engine needs a C compiler;
+  :class:`~repro.sim.native.KernelBuildError` names it when there is
+  none.  ``engine="reference"`` needs none.
 
 * :mod:`repro.core.fast.dynamics` -- the three strategies on arrays and
   :class:`FastConvergenceSimulator`, the array backend of
@@ -55,15 +63,15 @@ which builds a :class:`FastConvergenceSimulator` for it,
 :func:`repro.core.dynamics.simulate_peer_removal`,
 :func:`repro.core.churn.simulate_churn`, the stratification pipelines).
 Algorithm 1 alone has one entry point,
-:func:`repro.core.stable.stable_configuration`, with no engine switch:
-the reference greedy pass is faster than building the arrays for
-:func:`fast_stable_table`, which exists for the array backend's own use.
-Use ``"fast"`` for large systems (n >= a few thousand) or long horizons;
-use ``"reference"`` (the default) when single-step introspection,
-custom :class:`~repro.core.initiatives.InitiativeStrategy` subclasses or
-maximum-transparency debugging matter more than throughput.  Under churn
-the fast backend rebuilds its arrays and stable table on every event,
-which at Figure 3's churn rates makes it slower than the reference.
+:func:`repro.core.stable.stable_configuration`, with no engine switch;
+:func:`fast_stable_table` exists for the array backend's own use, which
+needs the stable table on arrays.  Use ``"fast"`` for large systems
+(n >= a few thousand) or long horizons; use ``"reference"`` (the default)
+when single-step introspection, custom
+:class:`~repro.core.initiatives.InitiativeStrategy` subclasses,
+maximum-transparency debugging or a host without a C compiler matter
+more than throughput.  Under churn the fast backend still rebuilds its
+arrays and stable table on every event.
 """
 
 from repro.core.fast.arrays import PeerArrays

@@ -4,12 +4,15 @@
 (and the global ranking of its population) into dense integer arrays.  The
 snapshot is immutable: the churn pipeline rebuilds it after every
 population change, which keeps the hot initiative loop free of any
-dictionary access.
+dictionary access.  A build works on whole arrays: one pass reads every
+neighbor set, one lookup table maps peer ids to rows, and one sort orders
+all neighborhoods by rank and one by id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Optional
 
 import numpy as np
@@ -18,6 +21,19 @@ from repro.core.acceptance import AcceptanceGraph
 from repro.core.ranking import GlobalRanking
 
 __all__ = ["PeerArrays"]
+
+
+def _sort_rows(values: np.ndarray, degrees: np.ndarray, bound: int) -> np.ndarray:
+    """Sort every CSR row of ``values`` (all in ``[0, bound)``) in place, in one sort.
+
+    Row ``r`` is offset by ``r * bound``, so one sort of the whole array
+    keeps the rows apart and orders each.
+    """
+    offsets = np.repeat(np.arange(degrees.size, dtype=np.int64) * bound, degrees)
+    values += offsets
+    values.sort()
+    values -= offsets
+    return values
 
 
 @dataclass(frozen=True)
@@ -87,38 +103,44 @@ class PeerArrays:
         acceptance: AcceptanceGraph,
         ranking: Optional[GlobalRanking] = None,
     ) -> "PeerArrays":
-        """Snapshot ``acceptance`` (and its ranking) into dense arrays."""
+        """Snapshot ``acceptance`` (and its ranking) into dense arrays.
+
+        The id-to-index table spans the id range, so its size is the
+        largest peer id minus the smallest; every population here numbers
+        its peers densely (churn gives a joining peer the next id).
+        """
         if ranking is None:
             ranking = GlobalRanking.from_population(acceptance.population)
-        ids = np.asarray(acceptance.peer_ids(), dtype=np.int64)
+        peer_ids = acceptance.peer_ids()
+        ids = np.asarray(peer_ids, dtype=np.int64)
         n = int(ids.size)
-        rank = np.fromiter(
-            (ranking.rank(int(pid)) for pid in ids), dtype=np.int64, count=n
-        )
+        rank = np.fromiter(map(ranking.rank, peer_ids), dtype=np.int64, count=n)
+        population = acceptance.population
         caps = np.fromiter(
-            (acceptance.population.get(int(pid)).slots for pid in ids),
-            dtype=np.int64,
-            count=n,
+            (population.get(pid).slots for pid in peer_ids), dtype=np.int64, count=n
         )
 
-        graph = acceptance.graph
-        degrees = np.fromiter(
-            (len(graph.neighbors(int(pid))) for pid in ids), dtype=np.int64, count=n
-        )
+        neighbor_sets = list(map(acceptance.graph.neighbors, peer_ids))
+        degrees = np.fromiter(map(len, neighbor_sets), dtype=np.int64, count=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
+        neighbors = np.fromiter(
+            chain.from_iterable(neighbor_sets), dtype=np.int64, count=int(indptr[-1])
+        )
+        # One table over the id range maps id -> dense index (ids is sorted).
+        low, high = (int(ids[0]), int(ids[-1])) if n else (0, -1)
+        index = np.zeros(high - low + 1, dtype=np.int64)
+        index[ids - low] = np.arange(n)
+        neighbors -= low
+        np.take(index, neighbors, out=neighbors)
 
-        adj = np.empty(total, dtype=np.int64)
-        adj_by_id = np.empty(total, dtype=np.int64)
-        for i, pid in enumerate(ids):
-            nbr_ids = np.fromiter(graph.neighbors(int(pid)), dtype=np.int64)
-            # ids is sorted, so searchsorted maps id -> dense index.
-            nbr_idx = np.searchsorted(ids, nbr_ids)
-            start, end = indptr[i], indptr[i + 1]
-            adj_by_id[start:end] = np.sort(nbr_idx)
-            adj[start:end] = nbr_idx[np.argsort(rank[nbr_idx], kind="stable")]
-        adj_rank = rank[adj]
+        # Ranks are distinct, so sorting the rows by rank and reading each
+        # rank back names the neighbor.
+        row_of_rank = np.zeros(int(rank.max(initial=0)) + 1, dtype=np.int64)
+        row_of_rank[rank] = np.arange(n)
+        adj_rank = _sort_rows(rank[neighbors], degrees, row_of_rank.size)
+        adj = row_of_rank[adj_rank]
+        adj_by_id = _sort_rows(neighbors, degrees, n)
         adj_ids = ids[adj_by_id]
 
         for array in (ids, rank, caps, indptr, adj, adj_rank, adj_by_id, adj_ids):

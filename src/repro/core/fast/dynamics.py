@@ -11,6 +11,11 @@ reference strategies' order, so a shared
 disorder trajectories and final configurations on both engines.  That
 contract is what lets the reference engine act as the correctness oracle
 in ``tests/test_engine_equivalence.py``.
+
+Each set-up (and each churn ``refresh``) builds a :class:`PeerArrays`
+snapshot on whole arrays and its stable table in one call of the compiled
+Algorithm 1, :func:`~repro.core.fast.engine.fast_stable_table`, so the
+first fast simulator of a process compiles that kernel.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ per-peer bookkeeping (worst-mate lookup, slot updates, threshold refresh)
 runs on plain Python integers -- at b ~ a few slots, avoiding numpy call
 overhead on tiny arrays is worth ~3x on the initiative loop.
 
-The module also hosts :func:`fast_stable_table` (Algorithm 1 on arrays)
-and the vectorized disorder computation.  Disorder totals are integer
+The module also hosts :func:`fast_stable_table` (Algorithm 1, one call
+of the compiled loop in :mod:`repro.core.fast.kernel`) and the
+vectorized disorder computation.  Disorder totals are integer
 sums of rank offsets, so the fast engine reproduces the reference float
 values bit-for-bit (the reference accumulates the same integers in a
 float, which is exact below 2**53).
@@ -40,6 +41,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from repro.core.acceptance import AcceptanceGraph
+from repro.core.fast import kernel
 from repro.core.fast.arrays import PeerArrays
 from repro.core.matching import Matching
 
@@ -75,7 +77,8 @@ class FastMatching:
         self.deg: List[int] = [0] * n
         # thr is kept twice: as a numpy array for vectorized gathers in the
         # blocking scan, and as a Python list for O(100ns) scalar reads in
-        # the per-initiative bookkeeping.  _refresh_thr updates both.
+        # the per-initiative bookkeeping.  _refresh_thr updates both for
+        # one peer, _set_thresholds for all of them.
         self.thr = np.where(arrays.caps > 0, self.inf_rank, 0).astype(np.int64)
         self._thr_list: List[int] = self.thr.tolist()
         self._rank_list: List[int] = arrays.rank.tolist()
@@ -184,6 +187,14 @@ class FastMatching:
         self.thr[i] = value
         self._thr_list[i] = value
 
+    def _set_thresholds(self) -> None:
+        """Every peer's threshold from the mate table, as ``_refresh_thr`` sets one."""
+        mate_ranks = np.where(self.mate >= 0, self.arrays.rank[self.mate], 0)
+        self.thr = np.where(
+            np.asarray(self.deg) < self.arrays.caps, self.inf_rank, mate_ranks.max(axis=1)
+        )
+        self._thr_list = self.thr.tolist()
+
     def _drop_direction(self, a: int, b: int) -> None:
         row = self.mate[a]
         degree = self.deg[a]
@@ -279,8 +290,7 @@ class FastMatching:
             self.mate[j, self.deg[j]] = i
             self.deg[i] += 1
             self.deg[j] += 1
-        for i in range(n):
-            self._refresh_thr(i)
+        self._set_thresholds()
 
     def load_matching(self, matching: Matching) -> None:
         """Reset the configuration to mirror a reference ``Matching``."""
@@ -300,44 +310,17 @@ class FastMatching:
 def fast_stable_table(arrays: PeerArrays) -> FastMatching:
     """Algorithm 1 on arrays: the unique stable configuration.
 
-    Peers are processed best-rank first; each takes its best acceptable
-    still-free candidates, exactly like
-    :func:`repro.core.stable.stable_configuration` (equality is asserted
-    by the equivalence tests).  The per-peer candidate filter is one
-    vectorized mask over the rank-sorted neighborhood.
+    One call of the compiled greedy pass
+    (:func:`repro.core.fast.kernel.stable_table`) over the rank-sorted
+    CSR, then every threshold in one vectorized pass.  It equals
+    :func:`repro.core.stable.stable_configuration` (asserted by the
+    equivalence tests).
     """
-    n = arrays.n
-    width = max(1, arrays.b_max)
-    mate = np.full((n, width), _EMPTY, dtype=np.int64)
-    deg = np.zeros(n, dtype=np.int64)
-    remaining = arrays.caps.copy()
-    order = np.argsort(arrays.rank, kind="stable")
-    for i in order:
-        budget = int(remaining[i])
-        if budget <= 0:
-            continue
-        start, end = arrays.indptr[i], arrays.indptr[i + 1]
-        neighbors = arrays.adj[start:end]
-        # Better-ranked neighbors already took every pairing they wanted
-        # when they were processed, so only worse-ranked candidates with
-        # capacity left are eligible.
-        eligible = neighbors[
-            (arrays.adj_rank[start:end] > arrays.rank[i]) & (remaining[neighbors] > 0)
-        ]
-        if eligible.size == 0:
-            continue
-        taken = eligible[:budget]
-        mate[i, deg[i]:deg[i] + taken.size] = taken
-        deg[i] += taken.size
-        mate[taken, deg[taken]] = i
-        deg[taken] += 1
-        remaining[taken] -= 1
-        remaining[i] -= taken.size
-
     matching = FastMatching(arrays)
+    mate, deg = kernel.stable_table(
+        arrays.rank, arrays.caps, arrays.indptr, arrays.adj, matching.width
+    )
     matching.mate = mate
     matching.deg = deg.tolist()
-    for i in range(n):
-        matching._refresh_thr(i)
+    matching._set_thresholds()
     return matching
-

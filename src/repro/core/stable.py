@@ -7,7 +7,8 @@ best then fills its remaining slots, and so on.  All connections made this
 way are stable by immediate recurrence.
 
 This is the one entry point for Algorithm 1.  The array backend keeps its
-own copy, :func:`repro.core.fast.engine.fast_stable_table`, because its
+own copy, :func:`repro.core.fast.engine.fast_stable_table` (the same
+greedy pass compiled in C, :mod:`repro.core.fast.kernel`), because its
 convergence runs need the stable table on arrays; the equivalence tests
 check that both give the same matching.
 """

@@ -199,6 +199,29 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=f"token '{token}'"):
             make_behavior_mix(spec)
 
+    @pytest.mark.parametrize(
+        "spec, location, cause",
+        [
+            (
+                "free_rider:0.2,never_upload:lots",
+                "behavior-mix spec error in token 2 ('never_upload:lots', chars 15-32): ",
+                "bad behavior fraction 'lots' for 'never_upload'",
+            ),
+            (
+                "groups:2, free_rider:0.1 ,groups:3",
+                "behavior-mix spec error in token 3 ('groups:3', chars 26-34): ",
+                "'groups' listed twice in the mix (token 'groups:3')",
+            ),
+        ],
+        ids=["malformed", "repeated"],
+    )
+    def test_errors_locate_the_offending_token(self, spec, location, cause):
+        with pytest.raises(ValueError) as err:
+            make_behavior_mix(spec)
+        message = str(err.value)
+        assert location in message
+        assert cause in message.partition(location)[2]
+
     @pytest.mark.parametrize("token", ["groups:abc", "groups:2.5"])
     def test_bad_group_count_names_its_token(self, token):
         with pytest.raises(ValueError) as excinfo:

@@ -477,7 +477,44 @@ class TestCLIEngineFlag:
             main(["figure3", "--engine", "fast"])
         assert isinstance(info.value.__cause__, Reached)
 
-    def test_engine_flag_ignored_by_engineless_experiments(self, capsys):
-        # figure7 is purely analytical; the flag must not break it.
-        assert main(["figure7", "--engine", "fast"]) == 0
-        assert "Figure 7" in capsys.readouterr().out
+
+
+class TestCLIRefusedOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["figure7", "--engine", "fast"], "--engine"),
+            (["figure4-5", "--faults", "outage:3+2", "--no-cache"], "--faults"),
+            (["figure10", "--seed", "3"], "--seed"),
+            # Set to its default value, an option is still set.
+            (["figure4-5", "--seed", "0"], "--seed"),
+        ],
+    )
+    def test_an_option_the_experiment_does_not_take_is_a_usage_error(
+        self, capsys, argv, option
+    ):
+        # The driver has no such parameter: the option must not be dropped
+        # without a word.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]} takes no {option}" in err
+
+    def test_all_passes_each_option_to_the_drivers_that_take_it(self, monkeypatch):
+        seen = {}
+
+        def engine_aware(*, seed=7, engine="x", workers=9):
+            seen["engine_aware"] = (seed, engine, workers)
+            return {}
+
+        def plain():
+            seen["plain"] = ()
+            return {}
+
+        monkeypatch.setattr(cli, "_EXPERIMENTS", {"a": engine_aware, "b": plain})
+        assert main(["all", "--engine", "fast", "--faults", "outage:3+2", "--no-cache"]) == 0
+        assert seen == {"engine_aware": (0, "fast", 1), "plain": ()}
+        # Omitted, --seed, --engine and --workers keep their old values.
+        assert main(["all", "--no-cache"]) == 0
+        assert seen["engine_aware"] == (0, "reference", 1)

@@ -19,6 +19,7 @@ is pinned on its own terms.
 
 from __future__ import annotations
 
+import re
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -114,8 +115,33 @@ class TestMakeResilience:
         ],
     )
     def test_errors_name_the_offending_token(self, spec, token):
-        with pytest.raises(ValueError, match=f"token '{token}'"):
+        # Named where the message locates it: ordinal, text and span.
+        located = rf"token \d+ \('{re.escape(token)}', chars \d+-\d+\)"
+        with pytest.raises(ValueError, match=located):
             make_resilience(spec)
+
+    @pytest.mark.parametrize(
+        "spec, location, cause",
+        [
+            (
+                "trackers:2, pex:many",
+                "resilience spec error in token 2 ('pex:many', chars 12-20): ",
+                "invalid literal",
+            ),
+            (
+                "pex,keepalive:4,  pex:8",
+                "resilience spec error in token 3 ('pex:8', chars 18-23): ",
+                "knob 'pex' given twice",
+            ),
+        ],
+        ids=["malformed", "repeated"],
+    )
+    def test_errors_locate_the_offending_token(self, spec, location, cause):
+        with pytest.raises(ValueError) as err:
+            make_resilience(spec)
+        message = str(err.value)
+        assert location in message
+        assert cause in message.partition(location)[2]
 
     def test_unknown_knob_lists_the_knobs(self):
         with pytest.raises(ValueError, match="trackers:N"):

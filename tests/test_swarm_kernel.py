@@ -1,20 +1,23 @@
-"""The fast swarm's C kernel: its draw contract, its argument checks, its build.
+"""The fast engines' C kernels: the swarm's draw contract, argument checks, the build.
 
-The engine equivalence suite holds the kernel's rechoke and transfer loop
-to the reference backend.  These tests pin what that suite cannot
-isolate: each bounded draw equals numpy's ``Generator.integers(0, bound)``
-and each shuffle numpy's ``Generator.shuffle(list)``, leaving the same
-generator state, whether or not the generator holds a buffered 32-bit
-half; one leecher's rechoke follows ``TitForTatChoker`` round by round;
-wrong arrays are refused before the call; the source compiles clean under
-strict warnings and runs clean under AddressSanitizer and
-UndefinedBehaviorSanitizer; and a missing compiler fails loudly, naming
-the command, while the reference engine runs without one.
+The engine equivalence suite holds the swarm kernel's rechoke and
+transfer loop to the reference backend.  These tests pin what that suite
+cannot isolate: each bounded draw equals numpy's
+``Generator.integers(0, bound)`` and each shuffle numpy's
+``Generator.shuffle(list)``, leaving the same generator state, whether or
+not the generator holds a buffered 32-bit half; one leecher's rechoke
+follows ``TitForTatChoker`` round by round; wrong arrays are refused
+before the call.  Both C sources, the swarm's and the matching engine's
+Algorithm 1, go through the one loader in ``repro.sim.native``: both
+compile clean under strict warnings and run clean under AddressSanitizer
+and UndefinedBehaviorSanitizer, and a missing compiler fails loudly,
+naming the command, while the reference engines run without one.
 """
 
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import os
 import pickle
 import shlex
@@ -32,6 +35,12 @@ from repro.bittorrent.fast import kernel
 from repro.bittorrent.fast.bitfields import BitfieldMatrix
 from repro.bittorrent.fast.choking import FastChokerState
 from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator
+from repro.core import ConvergenceSimulator, simulate_convergence
+from repro.core.acceptance import AcceptanceGraph
+from repro.core.churn import ChurnConfig, simulate_churn
+from repro.core.fast import kernel as matching_kernel
+from repro.core.peer import PeerPopulation
+from repro.sim import native
 
 from test_swarm_engine_equivalence import assert_results_identical
 
@@ -206,28 +215,41 @@ def _point_build_at(monkeypatch, compiler: str) -> None:
         sysconfig, "get_config_var", lambda name: compiler if name == "CC" else real(name)
     )
     monkeypatch.setattr(kernel, "_library", None)
+    monkeypatch.setattr(matching_kernel, "_library", None)
 
 
 CONFIG = SwarmConfig(leechers=6, seeds=1, piece_count=12, rounds=3)
 
 
+def _acceptance() -> AcceptanceGraph:
+    return AcceptanceGraph.complete(PeerPopulation.ranked(8, slots=[1, 2, 0, 1, 2, 1, 1, 2]))
+
+
 def test_missing_compiler_names_the_command_and_the_reference_engine(monkeypatch):
     _point_build_at(monkeypatch, "/nonexistent/repro-cc -O0")
-    with pytest.raises(kernel.KernelBuildError) as failure:
-        SwarmSimulator(CONFIG, engine="fast")
-    message = str(failure.value)
-    # The command as run: float operations are never contracted or reordered.
-    assert "`/nonexistent/repro-cc -O0 -O2 -fPIC -shared -ffp-contract=off`" in message
-    assert "fast-math" not in message
-    assert "[Errno 2]" in message
-    assert 'engine="reference"' in message
+    for engine, build in (
+        ("the fast swarm engine", lambda: SwarmSimulator(CONFIG, engine="fast")),
+        ("the fast matching engine", lambda: ConvergenceSimulator(_acceptance(), engine="fast")),
+    ):
+        with pytest.raises(native.KernelBuildError) as failure:
+            build()
+        message = str(failure.value)
+        assert message.startswith(engine)
+        # The command as run: float operations are never contracted or reordered.
+        assert "`/nonexistent/repro-cc -O0 -O2 -fPIC -shared -ffp-contract=off`" in message
+        assert "fast-math" not in message
+        assert "[Errno 2]" in message
+        assert 'engine="reference"' in message
     assert SwarmSimulator(CONFIG, engine="reference").run().rounds_run > 0
+    assert ConvergenceSimulator(_acceptance(), engine="reference").run().converged
 
 
 def test_failing_compiler_reports_its_stderr(monkeypatch):
     _point_build_at(monkeypatch, "sh -c 'echo no-such-header.h >&2; exit 1'")
-    with pytest.raises(kernel.KernelBuildError, match="no-such-header.h"):
+    with pytest.raises(native.KernelBuildError, match="no-such-header.h"):
         SwarmSimulator(CONFIG, engine="fast")
+    with pytest.raises(native.KernelBuildError, match="no-such-header.h"):
+        ConvergenceSimulator(_acceptance(), engine="fast")
 
 
 def _gcc() -> List[str]:
@@ -249,16 +271,17 @@ def _gcc() -> List[str]:
 
 def test_kernel_source_compiles_clean_under_strict_warnings(tmp_path):
     command = _gcc()
-    source = tmp_path / "kernel.c"
-    source.write_text(kernel.SOURCE, encoding="utf-8")
     flags = ["-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror"]
-    done = subprocess.run(
-        [*command, *flags, "-c", str(source), "-o", str(tmp_path / "kernel.o")],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    assert done.returncode == 0, done.stderr
+    for name, module in (("swarm", kernel), ("matching", matching_kernel)):
+        source = tmp_path / f"{name}.c"
+        source.write_text(module.SOURCE, encoding="utf-8")
+        done = subprocess.run(
+            [*command, *flags, "-c", str(source), "-o", str(tmp_path / f"{name}.o")],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert done.returncode == 0, (name, done.stderr)
 
 
 # Small poisson swarms that reach every kernel path: hostile behaviors
@@ -280,17 +303,34 @@ SANITIZED_CONFIGS = [
     for policy in ("rarest-first", "random", "sequential")
 ]
 
+# Small matching runs on the fast engine: budgets of 1 and 2 slots with a
+# zero-capacity peer, and churn, which rebuilds the arrays and the stable
+# table after every event.
+SANITIZED_CONVERGENCE = [
+    dict(n=30, expected_degree=6.0, slots=[b] * 29 + [0], seed=3, max_base_units=6.0)
+    for b in (1, 2)
+]
+SANITIZED_CHURN = [
+    ChurnConfig(
+        n=30, expected_degree=5.0, churn_rate=0.05, slots=b, max_base_units=6.0, engine="fast"
+    )
+    for b in (1, 2)
+]
+
 _SANITIZED_RUN = """
 import pickle, sys
-from repro.bittorrent.fast import kernel
-kernel._FLAGS += ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+from repro.sim import native
+native._FLAGS += ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 from repro.bittorrent.swarm import SwarmSimulator
+from repro.core import simulate_convergence
+from repro.core.churn import simulate_churn
 with open(sys.argv[1], "rb") as handle:
-    configs = pickle.load(handle)
-results = [
-    SwarmSimulator(config, seed=5, engine="fast", scenario="poisson").run()
-    for config in configs
-]
+    swarms, convergence, churn = pickle.load(handle)
+results = (
+    [SwarmSimulator(config, seed=5, engine="fast", scenario="poisson").run() for config in swarms],
+    [simulate_convergence(**kwargs, engine="fast") for kwargs in convergence],
+    [simulate_churn(config, seed=5) for config in churn],
+)
 with open(sys.argv[1], "wb") as handle:
     pickle.dump(results, handle)
 """
@@ -304,7 +344,9 @@ def test_kernel_runs_clean_under_address_and_undefined_behavior_sanitizers(tmp_p
     if not os.path.isabs(libasan) or not os.path.exists(libasan):
         pytest.skip("libasan is not installed for the C compiler")
     exchange = tmp_path / "runs.pickle"
-    exchange.write_bytes(pickle.dumps(SANITIZED_CONFIGS))
+    exchange.write_bytes(
+        pickle.dumps((SANITIZED_CONFIGS, SANITIZED_CONVERGENCE, SANITIZED_CHURN))
+    )
     src = Path(kernel.__file__).resolve().parents[3]
     env = dict(
         os.environ,
@@ -321,6 +363,19 @@ def test_kernel_runs_clean_under_address_and_undefined_behavior_sanitizers(tmp_p
         check=False,
     )
     assert done.returncode == 0, done.stderr[-4000:]
-    for config, fast in zip(SANITIZED_CONFIGS, pickle.loads(exchange.read_bytes())):
+    swarms, convergence, churn = pickle.loads(exchange.read_bytes())
+    assert len(swarms) == len(SANITIZED_CONFIGS)
+    for config, fast in zip(SANITIZED_CONFIGS, swarms):
         reference = SwarmSimulator(config, seed=5, scenario="poisson").run()
         assert_results_identical(reference, fast)
+    assert len(convergence) == len(SANITIZED_CONVERGENCE)
+    for kwargs, fast in zip(SANITIZED_CONVERGENCE, convergence):
+        reference = simulate_convergence(**kwargs)
+        assert fast.trajectory.values == reference.trajectory.values
+        assert fast.active_initiatives == reference.active_initiatives
+        assert fast.final_matching == reference.final_matching
+    assert len(churn) == len(SANITIZED_CHURN)
+    for config, fast in zip(SANITIZED_CHURN, churn):
+        reference = simulate_churn(dataclasses.replace(config, engine="reference"), seed=5)
+        assert fast.churn_events == reference.churn_events > 0
+        assert fast.trajectory.values == reference.trajectory.values
