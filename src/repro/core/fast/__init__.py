@@ -10,9 +10,9 @@ ideal for correctness (every operation validates its invariants) but every
 initiative walks Python dictionaries edge by edge, which caps practical
 swarm sizes at a few thousand peers.
 
-This subpackage re-expresses the model's state as flat numpy arrays so
-that the per-initiative work becomes a handful of vectorized operations
-over a single neighborhood slice.  The Section 3 process itself is not
+This subpackage re-expresses the model's state as flat integer arrays so
+that each initiative becomes one compiled call over a single neighborhood
+slice and a few mate-table rows.  The Section 3 process itself is not
 repeated here: it is written once, in
 :class:`repro.core.dynamics.ConvergenceSimulator`.
 
@@ -30,21 +30,24 @@ repeated here: it is written once, in
 * :mod:`repro.core.fast.engine` -- :class:`FastMatching`, the mutable
   configuration: a fixed-width ``(n, b_max)`` mate table plus per-peer
   degree counts and an *acceptance threshold* array ``thr`` where peer
-  ``i`` accepts candidate ``c`` iff ``rank[c] < thr[i]``.  Blocking-pair
-  detection, worst-mate lookup and initiative application are O(b) array
-  operations; blocking-mate search is one vectorized mask over the
-  rank-sorted neighborhood.  The module also hosts the array version of
-  Algorithm 1 (:func:`fast_stable_table`) and the fully vectorized
+  ``i`` accepts candidate ``c`` iff ``rank[c] < thr[i]``, all three
+  written in place.  An initiative (the best-blocking-mate scan over the
+  rank-sorted neighborhood, the blocking test, the worst-mate drops and
+  the match) is one kernel call.  The module also hosts the array
+  version of Algorithm 1 (:func:`fast_stable_table`), the whole-array
+  conversions to and from peer-id pairs and the fully vectorized
   disorder metric.
 
-* :mod:`repro.core.fast.kernel` -- Algorithm 1's greedy pass in C, one
-  call over the rank-sorted CSR.  It is compiled once per process, on
-  first use, through the loader the fast swarm shares
-  (:mod:`repro.sim.native`), so the fast engine needs a C compiler;
-  :class:`~repro.sim.native.KernelBuildError` names it when there is
-  none.  ``engine="reference"`` needs none.
+* :mod:`repro.core.fast.kernel` -- the C kernel: Algorithm 1's greedy
+  pass, one call over the rank-sorted CSR, and one initiative, one call
+  on a struct of pointers into the CSR and the configuration.  It is
+  compiled once per process, on first use, through the loader the fast
+  swarm shares (:mod:`repro.sim.native`), so the fast engine needs a C
+  compiler; :class:`~repro.sim.native.KernelBuildError` names it when
+  there is none.  ``engine="reference"`` needs none.
 
-* :mod:`repro.core.fast.dynamics` -- the three strategies on arrays and
+* :mod:`repro.core.fast.dynamics` -- the three strategies on arrays (each
+  picks a target, or lets the kernel scan for the best blocking mate) and
   :class:`FastConvergenceSimulator`, the array backend of
   :class:`repro.core.dynamics.ConvergenceSimulator`.  It inherits the
   initiative protocol (which draws every stream and picks the initiating

@@ -5,19 +5,20 @@
 snapshot is immutable: the churn pipeline rebuilds it after every
 population change, which keeps the hot initiative loop free of any
 dictionary access.  A build works on whole arrays: one pass reads every
-neighbor set, one lookup table maps peer ids to rows, and one sort orders
-all neighborhoods by rank and one by id.
+neighbor set and one every slot budget, one lookup table maps peer ids to
+rows, and one sort orders all neighborhoods by rank and one by id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.acceptance import AcceptanceGraph
+from repro.core.exceptions import UnknownPeerError
 from repro.core.ranking import GlobalRanking
 
 __all__ = ["PeerArrays"]
@@ -89,10 +90,6 @@ class PeerArrays:
         """Largest slot budget (width of the mate table)."""
         return int(self.caps.max()) if self.caps.size else 0
 
-    def index_of(self) -> Dict[int, int]:
-        """Mapping peer id -> dense index."""
-        return {int(pid): i for i, pid in enumerate(self.ids)}
-
     def neighborhood(self, i: int) -> np.ndarray:
         """Neighbor indices of ``i``, best-ranked first."""
         return self.adj[self.indptr[i]:self.indptr[i + 1]]
@@ -115,10 +112,11 @@ class PeerArrays:
         ids = np.asarray(peer_ids, dtype=np.int64)
         n = int(ids.size)
         rank = np.fromiter(map(ranking.rank, peer_ids), dtype=np.int64, count=n)
-        population = acceptance.population
-        caps = np.fromiter(
-            (population.get(pid).slots for pid in peer_ids), dtype=np.int64, count=n
-        )
+        slots = acceptance.population.slots()
+        try:
+            caps = np.fromiter(map(slots.__getitem__, peer_ids), dtype=np.int64, count=n)
+        except KeyError as missing:
+            raise UnknownPeerError(f"peer {missing.args[0]} not in population") from None
 
         neighbor_sets = list(map(acceptance.graph.neighbors, peer_ids))
         degrees = np.fromiter(map(len, neighbor_sets), dtype=np.int64, count=n)

@@ -5,8 +5,10 @@
 3 initiative process (the stream draws, the initiating-peer choice, the
 disorder sampling and the churn hooks' call order) and overrides only the
 hooks that store and change the configuration.  The fast strategies below
-scan candidates and consume the generator they are handed in the
-reference strategies' order, so a shared
+pick their targets and consume the generator they are handed in the
+reference strategies' order, and each initiative is one call of the
+compiled kernel (:meth:`FastMatching.initiative
+<repro.core.fast.engine.FastMatching.initiative>`), so a shared
 :class:`~repro.sim.random_source.RandomSource` seed yields bit-identical
 disorder trajectories and final configurations on both engines.  That
 contract is what lets the reference engine act as the correctness oracle
@@ -15,7 +17,7 @@ in ``tests/test_engine_equivalence.py``.
 Each set-up (and each churn ``refresh``) builds a :class:`PeerArrays`
 snapshot on whole arrays and its stable table in one call of the compiled
 Algorithm 1, :func:`~repro.core.fast.engine.fast_stable_table`, so the
-first fast simulator of a process compiles that kernel.
+first fast simulator of a process compiles the kernel.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.core.dynamics import ConvergenceSimulator
 from repro.core.exceptions import ModelError
 from repro.core.fast.arrays import PeerArrays
 from repro.core.fast.engine import FastMatching, fast_stable_table
+from repro.core.fast.kernel import BEST_MATE
 from repro.core.initiatives import (
     BestMateInitiative,
     DecrementalInitiative,
@@ -51,24 +54,26 @@ __all__ = [
 
 
 class FastInitiativeStrategy:
-    """How an initiating peer index scans its neighborhood (array engine)."""
+    """How an initiating peer index picks its target (array engine)."""
 
     name: str = "abstract"
 
     def propose(
         self, matching: FastMatching, peer: int, rng: np.random.Generator
     ) -> int:
-        """Dense index of the proposal target, or ``-1`` for nobody."""
+        """Dense index of the proposal target, or :data:`~repro.core.fast.kernel.BEST_MATE`.
+
+        ``BEST_MATE`` lets the kernel scan for the best blocking mate; it is
+        also what a peer without neighbors proposes, since that scan finds
+        nobody.
+        """
         raise NotImplementedError
 
     def take_initiative(
         self, matching: FastMatching, peer: int, rng: np.random.Generator
     ) -> bool:
-        """Run one initiative of ``peer``; return whether it was active."""
-        target = self.propose(matching, peer, rng)
-        if target < 0:
-            return False
-        return matching.apply_initiative(peer, target)
+        """Run one initiative of ``peer`` in one kernel call; return whether it was active."""
+        return matching.initiative(peer, self.propose(matching, peer, rng))
 
 
 class FastBestMateInitiative(FastInitiativeStrategy):
@@ -79,8 +84,8 @@ class FastBestMateInitiative(FastInitiativeStrategy):
     def propose(
         self, matching: FastMatching, peer: int, rng: np.random.Generator
     ) -> int:
-        del rng
-        return matching.best_blocking_mate(peer)
+        del matching, peer, rng
+        return BEST_MATE
 
 
 class FastDecrementalInitiative(FastInitiativeStrategy):
@@ -104,7 +109,7 @@ class FastDecrementalInitiative(FastInitiativeStrategy):
         start, end = arrays.indptr[peer], arrays.indptr[peer + 1]
         count = int(end - start)
         if count == 0:
-            return -1
+            return BEST_MATE
         peer_id = int(arrays.ids[peer])
         position = self._cursor.get(peer_id, 0) % count
         self._cursor[peer_id] = (position + 1) % count
@@ -131,7 +136,7 @@ class FastRandomInitiative(FastInitiativeStrategy):
         arrays = matching.arrays
         start, end = arrays.indptr[peer], arrays.indptr[peer + 1]
         if start == end:
-            return -1
+            return BEST_MATE
         candidate_ids = arrays.adj_ids[start:end]
         target_id = int(rng.choice(candidate_ids))
         position = int(np.searchsorted(candidate_ids, target_id))

@@ -1,4 +1,4 @@
-"""Array-backed configurations: mate table, blocking pairs, Algorithm 1.
+"""Array-backed configurations: mate table, initiatives, Algorithm 1.
 
 :class:`FastMatching` is the vectorized counterpart of
 :class:`repro.core.matching.Matching`.  The configuration lives in a fixed
@@ -17,14 +17,13 @@ This turns the reference predicates into integer comparisons:
 matched together, and ``rank[q] < thr[p] and rank[p] < thr[q]`` -- exactly
 :func:`repro.core.matching.is_blocking_pair` restated on arrays.
 
-The best-blocking-mate scan exploits that neighborhoods are stored sorted
-by rank: candidates acceptable to the scanning peer form a *prefix* of the
-neighborhood (found with one ``searchsorted``), and the first candidate of
-that prefix that reciprocates is the best blocking mate.  Work is split by
-size: neighborhood-scale scans are vectorized numpy, while the O(b)
-per-peer bookkeeping (worst-mate lookup, slot updates, threshold refresh)
-runs on plain Python integers -- at b ~ a few slots, avoiding numpy call
-overhead on tiny arrays is worth ~3x on the initiative loop.
+Each initiative is one call of the compiled kernel
+(:mod:`repro.core.fast.kernel`) on the three arrays in place: the
+best-blocking-mate scan exploits that neighborhoods are stored sorted by
+rank, so the candidates acceptable to the scanning peer form a *prefix*
+of its row, and the first candidate of that prefix that reciprocates and
+is not yet a mate is the best blocking mate; the worst-mate drops, the
+slot updates and the threshold refreshes follow in the same call.
 
 The module also hosts :func:`fast_stable_table` (Algorithm 1, one call
 of the compiled loop in :mod:`repro.core.fast.kernel`) and the
@@ -36,11 +35,13 @@ float, which is exact below 2**53).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.core.acceptance import AcceptanceGraph
+from repro.core.exceptions import UnknownPeerError
 from repro.core.fast import kernel
 from repro.core.fast.arrays import PeerArrays
 from repro.core.matching import Matching
@@ -52,20 +53,18 @@ __all__ = [
 
 _EMPTY = -1
 
-# Below this many candidates a scalar scan beats the vectorized mask
-# (numpy call overhead dominates on tiny slices).
-_SCALAR_SCAN_LIMIT = 8
-
 
 class FastMatching:
     """A b-matching configuration stored as a fixed-width mate table.
 
     All peers are dense indices into ``arrays``; conversions from/to the
     reference :class:`~repro.core.matching.Matching` exist for
-    interoperability and testing.  Mutators assume (and preserve) the
-    configuration invariants; unlike the reference class they do not
-    re-validate acceptance-graph membership on every call -- candidates
-    are always drawn from the CSR neighborhoods.
+    interoperability and testing.  ``mate``, ``deg`` and ``thr`` are
+    allocated once and only ever written in place, because the kernel's
+    :class:`~repro.core.fast.kernel.MatchingState` holds their addresses.
+    Unlike the reference class, an initiative does not re-validate
+    acceptance-graph membership -- candidates are always drawn from the
+    CSR neighborhoods.
     """
 
     def __init__(self, arrays: PeerArrays) -> None:
@@ -74,16 +73,10 @@ class FastMatching:
         self.width = max(1, arrays.b_max)
         self.inf_rank = n + 1
         self.mate = np.full((n, self.width), _EMPTY, dtype=np.int64)
-        self.deg: List[int] = [0] * n
-        # thr is kept twice: as a numpy array for vectorized gathers in the
-        # blocking scan, and as a Python list for O(100ns) scalar reads in
-        # the per-initiative bookkeeping.  _refresh_thr updates both for
-        # one peer, _set_thresholds for all of them.
+        self.deg = np.zeros(n, dtype=np.int64)
         self.thr = np.where(arrays.caps > 0, self.inf_rank, 0).astype(np.int64)
-        self._thr_list: List[int] = self.thr.tolist()
-        self._rank_list: List[int] = arrays.rank.tolist()
-        self._caps_list: List[int] = arrays.caps.tolist()
-        self._indptr_list: List[int] = arrays.indptr.tolist()
+        self._state = kernel.matching_state(arrays, self.mate, self.deg, self.thr)
+        self._initiative = kernel.load().initiative
 
     # -- queries ---------------------------------------------------------------
 
@@ -91,151 +84,39 @@ class FastMatching:
         """Current mates (dense indices) of peer ``i``."""
         return self.mate[i, : self.deg[i]]
 
-    def is_matched(self, i: int, j: int) -> bool:
-        """Whether ``i`` and ``j`` are currently matched together."""
-        row = self.mate[i]
-        for position in range(self.deg[i]):
-            if row[position] == j:
-                return True
-        return False
-
-    def worst_mate(self, i: int) -> int:
-        """The worst-ranked current mate of ``i`` (requires deg > 0)."""
-        row = self.mate[i]
-        rank = self._rank_list
-        worst = int(row[0])
-        worst_rank = rank[worst]
-        for position in range(1, self.deg[i]):
-            candidate = int(row[position])
-            if rank[candidate] > worst_rank:
-                worst, worst_rank = candidate, rank[candidate]
-        return worst
-
     def is_blocking(self, i: int, j: int) -> bool:
         """Whether the acceptance edge (i, j) is a blocking pair.
 
         Callers must pass an actual acceptance-graph edge; the membership
         test is not repeated here.
         """
-        if i == j:
-            return False
-        rank = self._rank_list
-        thr = self._thr_list
-        if rank[j] >= thr[i] or rank[i] >= thr[j]:
-            return False
-        return not self.is_matched(i, j)
-
-    def best_blocking_mate(self, i: int) -> int:
-        """Best-ranked blocking mate of ``i``, or ``-1`` when none exists.
-
-        Matches :func:`repro.core.matching.find_blocking_mate` on the full
-        acceptance neighborhood.
-        """
-        thr = self._thr_list
-        thr_i = thr[i]
-        if thr_i <= 1:
-            return _EMPTY
-        start = self._indptr_list[i]
-        end = self._indptr_list[i + 1]
-        if start == end:
-            return _EMPTY
-        arrays = self.arrays
-        # Neighbors are sorted by rank: candidates acceptable to i form a
-        # prefix (rank < thr[i]).
-        if thr_i == self.inf_rank:
-            cutoff = end - start
-        else:
-            cutoff = int(
-                np.searchsorted(arrays.adj_rank[start:end], thr_i, side="left")
-            )
-            if cutoff == 0:
-                return _EMPTY
-        rank_i = self._rank_list[i]
-        adj = arrays.adj
-        if cutoff <= _SCALAR_SCAN_LIMIT:
-            for offset in range(cutoff):
-                candidate = int(adj[start + offset])
-                if rank_i < thr[candidate] and not self.is_matched(i, candidate):
-                    return candidate
-            return _EMPTY
-        candidates = adj[start:start + cutoff]
-        mask = self.thr[candidates] > rank_i
-        row = self.mate[i]
-        for position in range(self.deg[i]):
-            mask &= candidates != row[position]
-        position = int(mask.argmax())
-        if not mask[position]:
-            return _EMPTY
-        return int(candidates[position])
+        blocking = kernel.load().is_blocking(self._state, i, j)
+        if blocking < 0:
+            raise IndexError(f"peer index {i} or {j} outside [0, {self.arrays.n})")
+        return blocking == 1
 
     # -- mutation --------------------------------------------------------------
 
-    def _refresh_thr(self, i: int) -> None:
-        degree = self.deg[i]
-        if degree < self._caps_list[i]:
-            value = self.inf_rank
-        elif degree == 0:
-            value = 0
-        else:
-            row = self.mate[i]
-            rank = self._rank_list
-            value = rank[int(row[0])]
-            for position in range(1, degree):
-                candidate_rank = rank[int(row[position])]
-                if candidate_rank > value:
-                    value = candidate_rank
-        self.thr[i] = value
-        self._thr_list[i] = value
+    def initiative(self, i: int, j: int = kernel.BEST_MATE) -> bool:
+        """Run peer ``i``'s initiative toward ``j``, in one kernel call.
+
+        ``j`` is a neighbor of ``i``, or :data:`~repro.core.fast.kernel.BEST_MATE`
+        for ``i``'s best blocking mate (:func:`repro.core.matching.find_blocking_mate`
+        on arrays).  Mirrors :func:`repro.core.initiatives.apply_initiative`:
+        when (i, j) blocks, both endpoints drop their worst mate if full,
+        then match.  Returns whether the configuration changed.
+        """
+        active = self._initiative(self._state, i, j)
+        if active < 0:
+            raise IndexError(f"peer index {i} or target {j} outside [0, {self.arrays.n})")
+        return active == 1
 
     def _set_thresholds(self) -> None:
-        """Every peer's threshold from the mate table, as ``_refresh_thr`` sets one."""
+        """Every peer's threshold from the mate table, in place."""
         mate_ranks = np.where(self.mate >= 0, self.arrays.rank[self.mate], 0)
-        self.thr = np.where(
-            np.asarray(self.deg) < self.arrays.caps, self.inf_rank, mate_ranks.max(axis=1)
+        self.thr[:] = np.where(
+            self.deg < self.arrays.caps, self.inf_rank, mate_ranks.max(axis=1)
         )
-        self._thr_list = self.thr.tolist()
-
-    def _drop_direction(self, a: int, b: int) -> None:
-        row = self.mate[a]
-        degree = self.deg[a]
-        for position in range(degree):
-            if row[position] == b:
-                row[position] = row[degree - 1]
-                row[degree - 1] = _EMPTY
-                self.deg[a] = degree - 1
-                return
-        raise ValueError(f"peers {a} and {b} are not matched")
-
-    def unmatch(self, i: int, j: int) -> None:
-        """Break the collaboration between ``i`` and ``j``."""
-        self._drop_direction(i, j)
-        self._drop_direction(j, i)
-        self._refresh_thr(i)
-        self._refresh_thr(j)
-
-    def match(self, i: int, j: int) -> None:
-        """Match ``i`` and ``j`` together (both must have a free slot)."""
-        self.mate[i, self.deg[i]] = j
-        self.mate[j, self.deg[j]] = i
-        self.deg[i] += 1
-        self.deg[j] += 1
-        self._refresh_thr(i)
-        self._refresh_thr(j)
-
-    def apply_initiative(self, i: int, j: int) -> bool:
-        """Execute the initiative pairing ``i`` with ``j``.
-
-        Mirrors :func:`repro.core.initiatives.apply_initiative`: when
-        (i, j) blocks, both endpoints drop their worst mate if full, then
-        match.  Returns whether the configuration changed.
-        """
-        if not self.is_blocking(i, j):
-            return False
-        for endpoint in (i, j):
-            if self.deg[endpoint] >= self._caps_list[endpoint]:
-                self.unmatch(endpoint, self.worst_mate(endpoint))
-        self.match(i, j)
-        return True
 
     # -- disorder and comparisons ----------------------------------------------
 
@@ -267,29 +148,41 @@ class FastMatching:
     # -- conversions -----------------------------------------------------------
 
     def pairs(self) -> List[Tuple[int, int]]:
-        """Matched pairs as (min_id, max_id) peer-id tuples."""
+        """Matched pairs as (min_id, max_id) peer-id tuples, row by row in slot order."""
         ids = self.arrays.ids
-        out: List[Tuple[int, int]] = []
-        for i in range(self.arrays.n):
-            a = int(ids[i])
-            for j in self.mate[i, : self.deg[i]]:
-                b = int(ids[j])
-                if a < b:
-                    out.append((a, b))
-        return out
+        filled = np.arange(self.width) < self.deg[:, None]
+        low = ids[np.nonzero(filled)[0]]
+        high = ids[self.mate[filled]]
+        keep = low < high
+        return list(zip(low[keep].tolist(), high[keep].tolist()))
 
     def load_pairs(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Reset the configuration to the given peer-id pairs."""
+        """Reset the configuration to the given peer-id pairs.
+
+        Each row's mates take its slots in the order the pairs name them.
+        An id that is not a peer raises :class:`UnknownPeerError`, and a
+        peer named more often than its slot budget raises ``ValueError``.
+        """
+        ids = self.arrays.ids
+        # Both endpoints of each pair, interleaved, and each one's partner.
+        ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+        rows = np.searchsorted(ids, ends)
+        known = rows < ids.size
+        known[known] = ids[rows[known]] == ends[known]
+        if not known.all():
+            raise UnknownPeerError(f"peer {ends[~known][0]} is not one of the arrays' peers")
+        partners = rows.reshape(-1, 2)[:, ::-1].ravel()
+        counts = np.bincount(rows, minlength=self.arrays.n)
+        over = counts > self.arrays.caps
+        if over.any():
+            raise ValueError(f"peer {ids[over.argmax()]} is given more mates than its slots")
+        # A stable sort by row keeps each row's mates in the order named.
+        order = np.argsort(rows, kind="stable")
+        by_row = rows[order]
+        slots = np.arange(by_row.size) - (np.cumsum(counts) - counts)[by_row]
         self.mate.fill(_EMPTY)
-        n = self.arrays.n
-        self.deg = [0] * n
-        index = self.arrays.index_of()
-        for a, b in pairs:
-            i, j = index[a], index[b]
-            self.mate[i, self.deg[i]] = j
-            self.mate[j, self.deg[j]] = i
-            self.deg[i] += 1
-            self.deg[j] += 1
+        self.mate[by_row, slots] = partners[order]
+        self.deg[:] = counts
         self._set_thresholds()
 
     def load_matching(self, matching: Matching) -> None:
@@ -303,7 +196,7 @@ class FastMatching:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"FastMatching(peers={self.arrays.n}, "
-            f"pairs={sum(self.deg) // 2})"
+            f"pairs={int(self.deg.sum()) // 2})"
         )
 
 
@@ -320,7 +213,7 @@ def fast_stable_table(arrays: PeerArrays) -> FastMatching:
     mate, deg = kernel.stable_table(
         arrays.rank, arrays.caps, arrays.indptr, arrays.adj, matching.width
     )
-    matching.mate = mate
-    matching.deg = deg.tolist()
+    matching.mate[:] = mate
+    matching.deg[:] = deg
     matching._set_thresholds()
     return matching

@@ -303,17 +303,35 @@ SANITIZED_CONFIGS = [
     for policy in ("rarest-first", "random", "sequential")
 ]
 
-# Small matching runs on the fast engine: budgets of 1 and 2 slots with a
-# zero-capacity peer, and churn, which rebuilds the arrays and the stable
-# table after every event.
+# Small matching runs on the fast engine, every strategy: the best-mate
+# scan and the explicit targets of the decremental and random strategies,
+# at budgets of 1 and 2 slots with a zero-capacity peer, and churn, which
+# rebuilds the arrays, the stable table and the kernel's state after every
+# event.
+STRATEGIES = ("best-mate", "decremental", "random")
 SANITIZED_CONVERGENCE = [
-    dict(n=30, expected_degree=6.0, slots=[b] * 29 + [0], seed=3, max_base_units=6.0)
+    dict(
+        n=30,
+        expected_degree=6.0,
+        slots=[b] * 29 + [0],
+        strategy=strategy,
+        seed=3,
+        max_base_units=6.0,
+    )
+    for strategy in STRATEGIES
     for b in (1, 2)
 ]
 SANITIZED_CHURN = [
     ChurnConfig(
-        n=30, expected_degree=5.0, churn_rate=0.05, slots=b, max_base_units=6.0, engine="fast"
+        n=30,
+        expected_degree=5.0,
+        churn_rate=0.05,
+        slots=b,
+        max_base_units=6.0,
+        strategy=strategy,
+        engine="fast",
     )
+    for strategy in STRATEGIES
     for b in (1, 2)
 ]
 
