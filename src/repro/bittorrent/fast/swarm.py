@@ -41,11 +41,25 @@ orders every row with one sort of row-major keys
 changes the adjacency between that plan and the round's gossip, so the
 snapshot is still current when the protocol asks for every sorted
 neighbor row at once (``_neighbor_csr``): the gossip pools are segments
-of it.  Last round's receipts are projected onto the edge layout once
-per round, at the start of the plan after any re-freeze.  Peer rows grow geometrically
+of it.  Peer rows grow geometrically
 (:meth:`BitfieldMatrix.add_peers`) and are tombstoned via an ``alive``
 mask on departure -- ids are never reused, so a row index stays valid for
 the whole run.
+
+The per-pair state lives in arrays keyed by peer rows, not by CSR edge,
+so a re-freeze leaves it untouched.  A pair of rows packs into one int64,
+``row << PAIR_SHIFT | other``, which bounds a swarm to :data:`MAX_PEERS`
+rows (``_add_peers`` fails fast past it).  Three sorted tables hold it:
+partial credit keyed by (receiver, sender), the collaboration volume
+keyed by (min, max), and last round's receipts keyed by (receiver,
+sender), rebuilt from each round's applied transfers.  Each entry keeps
+the serial number of the pair's first applied transfer, so sorting a row
+by it gives back the insertion order of the reference engine's
+dictionaries.  The receipts are projected onto the edge layout once per
+round, at the start of the plan after any re-freeze.  A crash drops the
+crashed receiver's credit and receipts; a departed receiver's entries
+are never read again.  :meth:`FastSwarmSimulator._snapshots` builds
+:class:`SwarmPeer`\\ s from all of it in one pass.
 
 The backend is *bit-identical* to the reference one: its plan and apply
 passes consume the rounds generator the protocol hands them draw for draw
@@ -61,7 +75,7 @@ bitfields in the apply pass.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -73,8 +87,10 @@ from repro.bittorrent.fast.tracker import (
     build_neighbor_csr,
     neighbor_sets_to_csr,
 )
+from repro.bittorrent.pieces import Bitfield
 from repro.bittorrent.piece_selection import make_selector
 from repro.bittorrent.swarm import SwarmPeer, SwarmResult, SwarmSimulator, Transfer
+from repro.core.exceptions import ModelError
 
 # Not called here: the round protocol in repro.bittorrent.swarm is their
 # only caller.  perfbench/layers.py traces both as globals of this module
@@ -82,7 +98,78 @@ from repro.bittorrent.swarm import SwarmPeer, SwarmResult, SwarmSimulator, Trans
 from repro.bittorrent.behaviors import filter_contacts  # noqa: F401
 from repro.bittorrent.resilience import sample_pools  # noqa: F401
 
-__all__ = ["FastSwarmSimulator"]
+__all__ = ["FastSwarmSimulator", "MAX_PEERS", "PAIR_SHIFT"]
+
+#: Bits of a pair key's low half: rows ``a`` and ``b`` pack into
+#: ``a << PAIR_SHIFT | b``, so sorted keys are (a, b)-major.
+PAIR_SHIFT = 31
+#: Most rows a fast swarm holds: every row index fits in the low half.
+MAX_PEERS = 1 << PAIR_SHIFT
+_LOW = MAX_PEERS - 1
+
+
+def _positions(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Each query's index in the sorted ``keys``, -1 where it is absent."""
+    at = keys.searchsorted(queries)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == queries[hit]
+    return np.where(hit, at, -1)
+
+
+class _PairTable:
+    """Floats on ordered row pairs: sorted pair keys, values and serials.
+
+    ``serial`` numbers each pair's first applied transfer, so a row's
+    pairs sorted by it come in the insertion order of the dictionary the
+    reference engine keeps.
+    """
+
+    def __init__(self, key: np.ndarray, value: np.ndarray, serial: np.ndarray) -> None:
+        """A table of the distinct pair keys ``key``, sorted here."""
+        order = np.argsort(key)
+        self.key, self.value, self.serial = key[order], value[order], serial[order]
+
+    @classmethod
+    def empty(cls) -> "_PairTable":
+        """A table without pairs."""
+        no_pairs = np.empty(0, dtype=np.int64)
+        return cls(no_pairs, np.empty(0, dtype=np.float64), no_pairs)
+
+    def insert(self, keys: np.ndarray, values: np.ndarray, serials: np.ndarray) -> None:
+        """Add distinct keys that are not in the table yet."""
+        order = np.argsort(keys)
+        at = self.key.searchsorted(keys[order])
+        self.key = np.insert(self.key, at, keys[order])
+        self.value = np.insert(self.value, at, values[order])
+        self.serial = np.insert(self.serial, at, serials[order])
+
+    def drop_row(self, row: int) -> None:
+        """Remove every pair whose first row is ``row``."""
+        lo, hi = self.key.searchsorted([row << PAIR_SHIFT, (row + 1) << PAIR_SHIFT]).tolist()
+        self.key, self.value, self.serial = (
+            np.concatenate((column[:lo], column[hi:]))
+            for column in (self.key, self.value, self.serial)
+        )
+
+    def dicts(self, rows: np.ndarray) -> List[Dict[int, float]]:
+        """Each of the ascending ``rows``' pairs as ``{other pid: value}``, in serial order.
+
+        One sort by (row, serial) covers the window of the table that the
+        rows span, and leaves each row's range where the key order put it.
+        """
+        first = rows << PAIR_SHIFT
+        lo = self.key.searchsorted(first)
+        hi = self.key.searchsorted(first + MAX_PEERS)
+        begin, end = int(lo[0]), int(hi[-1])
+        if begin == end:
+            return [{} for _ in range(rows.size)]
+        order = begin + np.lexsort((self.serial[begin:end], self.key[begin:end] >> PAIR_SHIFT))
+        others: List[int] = ((self.key[order] & _LOW) + 1).tolist()
+        values: List[float] = self.value[order].tolist()
+        return [
+            dict(zip(others[start:stop], values[start:stop]))
+            for start, stop in zip((lo - begin).tolist(), (hi - begin).tolist())
+        ]
 
 
 class FastSwarmSimulator(SwarmSimulator):
@@ -137,15 +224,24 @@ class FastSwarmSimulator(SwarmSimulator):
             optimistic_period=config.optimistic_period,
             seed_slots=config.seed_slots,
         )
-        # partial[receiver][sender] = kilobits short of the next whole piece
-        # (peer ids) -- the mirror of SwarmPeer.partial_kbit.
-        self.partial: Dict[int, Dict[int, float]] = {}
-        self._last_received: Dict[int, Dict[int, float]] = {}
+        # Per-pair state on rows (see the module docstring): each
+        # receiver's credit from each sender, the kilobits moved per
+        # (min, max) pair, and last round's receipts.
+        self._credit = _PairTable.empty()
+        self._collaboration = _PairTable.empty()
+        self._received = _PairTable.empty()
+        self._applied_transfers = 0  # the serial of the next applied transfer
 
     def _add_peers(
         self, uploads: List[float], pieces: List[Optional[np.ndarray]], arrival_round: int
     ) -> None:
         count = len(uploads)
+        if self.n_total + count > MAX_PEERS:
+            raise ModelError(
+                f"the fast swarm engine holds at most {MAX_PEERS} peers "
+                f"(its pair keys pack two peer rows into one int64); "
+                f"{self.n_total + count} requested"
+            )
         base = self.bitfields.add_peers(count)
         profiles = self._profiles[base:]
         self.alive = np.concatenate([self.alive, np.ones(count, dtype=bool)])
@@ -208,28 +304,37 @@ class FastSwarmSimulator(SwarmSimulator):
         return added
 
     def _detach(self, pid: int) -> None:
-        """Tombstone ``pid``'s row: unlink its edges, drop credit and choker state."""
+        """Tombstone ``pid``'s row: unlink its edges and drop its choker state.
+
+        The pair tables keep the row's entries either way.  As a sender,
+        its credit at each receiver outlives it, as in the reference
+        engine's receiver dicts, and a rejoined sender resumes it.  As a
+        receiver, a departed row is never read again, and a crash drops
+        its entries itself.
+        """
         i = pid - 1
         self.alive[i] = False
         self.counts -= self.bitfields.unpack_row(i)
         for j in self.neighbor_sets[i]:
             self.neighbor_sets[j].discard(i)
         self.neighbor_sets[i] = set()
-        self.partial.pop(pid, None)
         self.chokers.drop(i)
         self._adjacency_dirty = True
 
     def _depart_peer(self, pid: int) -> SwarmPeer:
-        snapshot = self._snapshot(pid)
+        (snapshot,) = self._snapshots([pid])
         self._detach(pid)
         return snapshot
 
     def _crash_peer(self, pid: int) -> SwarmPeer:
-        # The snapshot is taken after the scrub, so it matches the
-        # reference backend's crashed peer field for field.
+        # The crashed receiver loses its credit and receipts; the
+        # snapshot is taken after the scrub, so it matches the reference
+        # backend's crashed peer field for field.
         self._detach(pid)
-        self._last_received.pop(pid, None)
-        return self._snapshot(pid)
+        self._credit.drop_row(pid - 1)
+        self._received.drop_row(pid - 1)
+        (snapshot,) = self._snapshots([pid])
+        return snapshot
 
     def _rejoin_peer(self, snapshot: SwarmPeer) -> None:
         i = snapshot.peer_id - 1
@@ -258,23 +363,57 @@ class FastSwarmSimulator(SwarmSimulator):
         have = self.bitfields.have_count[: self.n_total]
         return int((have[live] < self.config.piece_count).sum())
 
-    def _snapshot(self, pid: int) -> SwarmPeer:
-        i = pid - 1
-        return SwarmPeer(
-            peer_id=pid,
-            upload_kbps=float(self.uploads[i]),
-            is_seed=bool(self.is_seed[i]),
-            bitfield=self.bitfields.to_bitfield(i),
-            neighbors={j + 1 for j in self.neighbor_sets[i]},
-            downloaded_kbit=float(self.downloaded[i]),
-            uploaded_kbit=float(self.uploaded[i]),
-            partial_kbit=dict(self.partial.get(pid, {})),
-            received_last_round=dict(self._last_received.get(pid, {})),
-            completed_round=self.completed_round[i],
-            arrival_round=self.arrival_round[i],
-            behavior=self._profiles[i].name,
-            locality_group=self._groups[i],
-        )
+    def _snapshots(self, pids: Sequence[int]) -> List[SwarmPeer]:
+        """The peers ``pids`` (ascending) as :class:`SwarmPeer`\\ s, in one pass.
+
+        One sort of each pair table's window feeds plain list slices per
+        peer.  Bitfields go row by row: a complete row is
+        :meth:`Bitfield.complete`, and only the rest unpack their bits.
+        """
+        if not pids:
+            return []
+        rows = np.asarray(pids, dtype=np.int64) - 1
+        piece_count = self.config.piece_count
+        complete = (self.bitfields.have_count[rows] == piece_count).tolist()
+        neighbor_sets, profiles, groups = self.neighbor_sets, self._profiles, self._groups
+        completed_round, arrival_round = self.completed_round, self.arrival_round
+        return [
+            SwarmPeer(
+                peer_id=i + 1,
+                upload_kbps=upload,
+                is_seed=seed,
+                bitfield=(
+                    Bitfield.complete(piece_count) if full else self.bitfields.to_bitfield(i)
+                ),
+                neighbors={j + 1 for j in neighbor_sets[i]},
+                downloaded_kbit=down,
+                uploaded_kbit=up,
+                partial_kbit=credit,
+                received_last_round=received,
+                completed_round=completed_round[i],
+                arrival_round=arrival_round[i],
+                behavior=profiles[i].name,
+                locality_group=groups[i],
+            )
+            for i, upload, seed, full, down, up, credit, received in zip(
+                rows.tolist(),
+                self.uploads[rows].tolist(),
+                self.is_seed[rows].tolist(),
+                complete,
+                self.downloaded[rows].tolist(),
+                self.uploaded[rows].tolist(),
+                self._credit.dicts(rows),
+                self._received.dicts(rows),
+            )
+        ]
+
+    def _collaboration_volume(self) -> Dict[Tuple[int, int], float]:
+        table = self._collaboration
+        order = np.argsort(table.serial)
+        key = table.key[order]
+        low: List[int] = ((key >> PAIR_SHIFT) + 1).tolist()
+        high: List[int] = ((key & _LOW) + 1).tolist()
+        return dict(zip(zip(low, high), table.value[order].tolist()))
 
     # -- edge arrays ---------------------------------------------------------------
 
@@ -285,10 +424,10 @@ class FastSwarmSimulator(SwarmSimulator):
             np.arange(n, dtype=np.int64), np.diff(self.indptr)
         )
         self.adj_pid = self.adj + 1
-        # Globally sorted (owner, partner) key: CSR segments are peer-ordered
-        # and id-sorted inside, so one searchsorted resolves any edge slot.
-        self._key_mult = n
-        self.edge_key = self.edge_peer * n + self.adj
+        # Globally sorted (owner, partner) pair key: CSR segments are
+        # peer-ordered and id-sorted inside, so one searchsorted resolves
+        # any edge slot.
+        self.edge_key = self.edge_peer << PAIR_SHIFT | self.adj
         # An unchoke target must be a non-seed that actually downloads
         # (partial seeds never request); frozen with the CSR since the
         # download flag only changes when membership does.
@@ -407,66 +546,77 @@ class FastSwarmSimulator(SwarmSimulator):
         return transfers, regular_pairs
 
     def _apply_round(
-        self,
-        transfers: List[Transfer],
-        collaboration: Dict[Tuple[int, int], float],
-        rng: np.random.Generator,
-        round_index: int,
+        self, transfers: List[Transfer], rng: np.random.Generator, round_index: int
     ) -> List[int]:
-        """Run the round's transfers through the C kernel, then the dictionaries.
+        """Run the round's transfers through the C kernel, then the pair tables.
 
-        The kernel owns the per-transfer loop over the array state.  From
-        its per-transfer flags and credits, the dictionaries are updated
-        here in transfer order, because their insertion order is part of
-        the result.  Each (sender, receiver) pair occurs at most once per
-        round, so every credit can be gathered before the call.
+        Each (sender, receiver) pair occurs at most once per round, so one
+        gather reads every credit before the call.  After it, the applied
+        transfers scatter their credit and volume into the tables and
+        become the round's receipts; a pair seen for the first time takes
+        its transfer's serial.  At most two applied transfers share a
+        (min, max) pair, one per direction, so two scatters, the earlier
+        transfer's first, add the volumes in the reference's order.
         """
-        received_now: Dict[int, Dict[int, float]] = {}
-        newly_completed: List[int] = []
-        if transfers:
-            partial = self.partial
-            no_credit: Dict[int, float] = {}
-            credit = np.array(
-                [
-                    partial.get(receiver, no_credit).get(sender, 0.0)
-                    for sender, receiver, _ in transfers
-                ]
-            )
-            senders, receivers, volumes = zip(*transfers)
-            applied, completed = kernel.apply_transfers(
-                rng,
-                self.config.piece_selection,
-                self.config.piece_size_kbit,
-                self.bitfields,
-                self.counts,
-                self.uploaded,
-                self.downloaded,
-                self.reveal_limit,
-                np.array(senders, dtype=np.int64) - 1,
-                np.array(receivers, dtype=np.int64) - 1,
-                np.array(volumes, dtype=np.float64),
-                credit,
-            )
-            credits = credit.tolist()
-            for t in np.flatnonzero(applied).tolist():
-                sender, receiver, volume_kbit = transfers[t]
-                by_sender = received_now.setdefault(receiver, {})
-                by_sender[sender] = by_sender.get(sender, 0.0) + volume_kbit
-                key = (sender, receiver) if sender < receiver else (receiver, sender)
-                collaboration[key] = collaboration.get(key, 0.0) + volume_kbit
-                partial.setdefault(receiver, {})[sender] = credits[t]
-            completed_round = self.completed_round
-            for t in np.flatnonzero(completed).tolist():
-                receiver = transfers[t][1]
-                if completed_round[receiver - 1] is None:
-                    completed_round[receiver - 1] = round_index
-                    newly_completed.append(receiver)
+        if not transfers:
+            self._received = _PairTable.empty()
+            return []
+        senders, receivers, volumes = zip(*transfers)
+        sender = np.array(senders, dtype=np.int64) - 1
+        receiver = np.array(receivers, dtype=np.int64) - 1
+        volume = np.array(volumes, dtype=np.float64)
+        credit_key = receiver << PAIR_SHIFT | sender
+        table = self._credit
+        at = _positions(table.key, credit_key)
+        known = at >= 0
+        credit = np.zeros(volume.size)
+        credit[known] = table.value[at[known]]
+        applied, completed = kernel.apply_transfers(
+            rng,
+            self.config.piece_selection,
+            self.config.piece_size_kbit,
+            self.bitfields,
+            self.counts,
+            self.uploaded,
+            self.downloaded,
+            self.reveal_limit,
+            sender,
+            receiver,
+            volume,
+            credit,
+        )
+        done = np.flatnonzero(applied)
+        serial = self._applied_transfers + np.arange(done.size, dtype=np.int64)
+        self._applied_transfers += int(done.size)
+        at = at[done]
+        known = at >= 0
+        table.value[at[known]] = credit[done[known]]
+        fresh = done[~known]
+        table.insert(credit_key[fresh], credit[fresh], serial[~known])
 
-        self._last_received = received_now
+        self._received = _PairTable(credit_key[done], 0.0 + volume[done], serial)
+        sender, receiver, volume = sender[done], receiver[done], volume[done]
+        pair = np.minimum(sender, receiver) << PAIR_SHIFT | np.maximum(sender, receiver)
+        _, first = np.unique(pair, return_index=True)
+        table = self._collaboration
+        fresh = first[_positions(table.key, pair[first]) < 0]
+        table.insert(pair[fresh], np.zeros(fresh.size), serial[fresh])
+        at = table.key.searchsorted(pair)
+        later = np.ones(pair.size, dtype=bool)
+        later[first] = False
+        table.value[at[first]] += volume[first]
+        table.value[at[later]] += volume[later]
+
+        newly_completed: List[int] = []
+        completed_round = self.completed_round
+        for pid in [transfers[t][1] for t in np.flatnonzero(completed).tolist()]:
+            if completed_round[pid - 1] is None:
+                completed_round[pid - 1] = round_index
+                newly_completed.append(pid)
         return newly_completed
 
     def _project_received(self) -> None:
-        """Scatter ``_last_received`` onto the current edge array.
+        """Scatter last round's receipts onto the current edge array.
 
         Runs once per round, at the start of the plan and after any
         re-freeze, so the rechoke sees exactly what the reference chokers
@@ -476,22 +626,7 @@ class FastSwarmSimulator(SwarmSimulator):
         either.
         """
         self.recv_edge.fill(0.0)
-        if not self._last_received or self.edge_key.size == 0:
-            return
-        receivers: List[int] = []
-        senders: List[int] = []
-        volumes: List[float] = []
-        for receiver_pid, by_sender in self._last_received.items():
-            for sender_pid, volume in by_sender.items():
-                receivers.append(receiver_pid - 1)
-                senders.append(sender_pid - 1)
-                volumes.append(volume)
-        keys = (
-            np.asarray(receivers, dtype=np.int64) * self._key_mult
-            + np.asarray(senders, dtype=np.int64)
-        )
-        positions = np.searchsorted(self.edge_key, keys)
-        in_range = positions < self.edge_key.size
-        positions = np.where(in_range, positions, 0)
-        valid = in_range & (self.edge_key[positions] == keys)
-        self.recv_edge[positions[valid]] = np.asarray(volumes, dtype=np.float64)[valid]
+        received = self._received
+        at = _positions(self.edge_key, received.key)
+        hit = at >= 0
+        self.recv_edge[at[hit]] = received.value[hit]

@@ -61,8 +61,10 @@ class Bitfield:
 
     @classmethod
     def complete(cls, piece_count: int) -> "Bitfield":
-        """A bitfield holding every piece (a seed)."""
-        return cls(piece_count, range(piece_count))
+        """A bitfield holding every piece (a seed), built in one step."""
+        bitfield = cls(piece_count)
+        bitfield._have = set(range(piece_count))
+        return bitfield
 
     @classmethod
     def from_indices(cls, piece_count: int, have: Iterable[int]) -> "Bitfield":

@@ -472,7 +472,8 @@ class SwarmSimulator:
         carries them.  The reference engine returns its live peer objects,
         the fast engine a fresh snapshot of its arrays.
         """
-        return {pid: self._snapshot(pid) for pid in self._live_ids()}
+        live = self._live_ids()
+        return dict(zip(live, self._snapshots(live)))
 
     # -- construction ------------------------------------------------------------
 
@@ -852,7 +853,6 @@ class SwarmSimulator:
         if observer is not None:
             observer.begin_run(_SwarmView(self))
         rng = self.source.stream(streams.ROUNDS)
-        collaboration: Dict[Tuple[int, int], float] = {}
         tft_rounds: Dict[Tuple[int, int], float] = {}
         completed = sum(
             1
@@ -867,7 +867,7 @@ class SwarmSimulator:
             if self._faults_active:
                 transfers = self._filter_faulty_transfers(transfers, round_index)
             self._record_reciprocal_tft(regular_pairs, tft_rounds, round_index)
-            for pid in self._apply_round(transfers, collaboration, rng, round_index):
+            for pid in self._apply_round(transfers, rng, round_index):
                 completed += 1
                 if self._faults_active and not self.tracker_available:
                     self._faults.defer_completion(pid)
@@ -898,7 +898,7 @@ class SwarmSimulator:
         return SwarmResult(
             config=config,
             peers=dict(sorted(all_peers.items())),
-            collaboration_volume=collaboration,
+            collaboration_volume=self._collaboration_volume(),
             tft_reciprocal_rounds=tft_rounds,
             completed=completed,
             rounds_run=rounds_run,
@@ -1008,17 +1008,29 @@ class SwarmSimulator:
         raise NotImplementedError
 
     def _apply_round(
-        self,
-        transfers: List[Transfer],
-        collaboration: Dict[Tuple[int, int], float],
-        rng: np.random.Generator,
-        round_index: int,
+        self, transfers: List[Transfer], rng: np.random.Generator, round_index: int
     ) -> List[int]:
-        """Turn transfers into pieces; returns the newly completed peer ids."""
+        """Turn transfers into pieces; returns the newly completed peer ids.
+
+        Each applied transfer also adds its kilobits to the pair's
+        collaboration volume, which the backend keeps.
+        """
         raise NotImplementedError
 
-    def _snapshot(self, pid: int) -> SwarmPeer:
-        """A present peer as a :class:`SwarmPeer`."""
+    def _snapshots(self, pids: Sequence[int]) -> List[SwarmPeer]:
+        """The present peers ``pids`` (ascending) as :class:`SwarmPeer`\\ s.
+
+        ``peers``, and with it the result, reads all peer state through
+        this one hook, so a backend can build every snapshot in one pass.
+        """
+        raise NotImplementedError
+
+    def _collaboration_volume(self) -> Dict[Tuple[int, int], float]:
+        """Kilobits moved so far per ``(min, max)`` pid pair.
+
+        Ordered by each pair's first applied transfer, the order of
+        ``SwarmResult.collaboration_volume``.
+        """
         raise NotImplementedError
 
 
@@ -1039,6 +1051,7 @@ class ReferenceSwarmSimulator(SwarmSimulator):
         self.selector: PieceSelector = make_selector(self.config.piece_selection)
         self._peers: Dict[int, SwarmPeer] = {}
         self._chokers: Dict[int, TitForTatChoker | SeedChoker] = {}
+        self._collaboration: Dict[Tuple[int, int], float] = {}
 
     def _leecher_choker(self) -> TitForTatChoker:
         config = self.config
@@ -1136,8 +1149,12 @@ class ReferenceSwarmSimulator(SwarmSimulator):
             and not peer.bitfield.is_complete()
         )
 
-    def _snapshot(self, pid: int) -> SwarmPeer:
-        return self._peers[pid]
+    def _snapshots(self, pids: Sequence[int]) -> List[SwarmPeer]:
+        peers = self._peers
+        return [peers[pid] for pid in pids]
+
+    def _collaboration_volume(self) -> Dict[Tuple[int, int], float]:
+        return self._collaboration
 
     def _plan_round(
         self, rng: np.random.Generator
@@ -1179,12 +1196,9 @@ class ReferenceSwarmSimulator(SwarmSimulator):
         return transfers, regular_pairs
 
     def _apply_round(
-        self,
-        transfers: List[Transfer],
-        collaboration: Dict[Tuple[int, int], float],
-        rng: np.random.Generator,
-        round_index: int,
+        self, transfers: List[Transfer], rng: np.random.Generator, round_index: int
     ) -> List[int]:
+        collaboration = self._collaboration
         piece_size = self.config.piece_size_kbit
         availability = piece_availability(
             (peer.bitfield for peer in self._peers.values()), self.config.piece_count

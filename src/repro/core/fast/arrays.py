@@ -5,7 +5,8 @@
 snapshot is immutable: the churn pipeline rebuilds it after every
 population change, which keeps the hot initiative loop free of any
 dictionary access.  A build works on whole arrays: one pass reads every
-neighbor set and one every slot budget, one lookup table maps peer ids to
+neighbor set, one every rank and one every slot budget (a mapping lookup
+per peer, no checked call), one lookup table maps peer ids to
 rows, and one sort orders all neighborhoods by rank and one by id.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
@@ -35,6 +36,14 @@ def _sort_rows(values: np.ndarray, degrees: np.ndarray, bound: int) -> np.ndarra
     values.sort()
     values -= offsets
     return values
+
+
+def _column(table: Mapping[int, int], peer_ids: List[int], holder: str) -> np.ndarray:
+    """``table[pid]`` for every id, one mapping lookup each; a missing id is named."""
+    try:
+        return np.fromiter(map(table.__getitem__, peer_ids), dtype=np.int64, count=len(peer_ids))
+    except KeyError as missing:
+        raise UnknownPeerError(f"peer {missing.args[0]} not in {holder}") from None
 
 
 @dataclass(frozen=True)
@@ -111,12 +120,8 @@ class PeerArrays:
         peer_ids = acceptance.peer_ids()
         ids = np.asarray(peer_ids, dtype=np.int64)
         n = int(ids.size)
-        rank = np.fromiter(map(ranking.rank, peer_ids), dtype=np.int64, count=n)
-        slots = acceptance.population.slots()
-        try:
-            caps = np.fromiter(map(slots.__getitem__, peer_ids), dtype=np.int64, count=n)
-        except KeyError as missing:
-            raise UnknownPeerError(f"peer {missing.args[0]} not in population") from None
+        rank = _column(ranking.ranks(), peer_ids, "ranking")
+        caps = _column(acceptance.population.slots(), peer_ids, "population")
 
         neighbor_sets = list(map(acceptance.graph.neighbors, peer_ids))
         degrees = np.fromiter(map(len, neighbor_sets), dtype=np.int64, count=n)

@@ -64,6 +64,14 @@ class GlobalRanking:
             raise UnknownPeerError(f"peer {peer_id} not in ranking")
         return self._rank[peer_id]
 
+    def ranks(self) -> Mapping[int, int]:
+        """Every ranked peer's 1-based rank, by peer id (read-only: do not mutate).
+
+        One lookup per peer, without :meth:`rank`'s membership check: a
+        missing id raises :class:`KeyError`.
+        """
+        return self._rank
+
     def score(self, peer_id: int) -> float:
         """The mark S(p) used to build this ranking."""
         if peer_id not in self._scores:

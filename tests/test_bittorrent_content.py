@@ -43,6 +43,20 @@ class TestTorrentAndBitfield:
         assert seed.completion() == 1.0
         assert leecher.missing() == {0, 1, 2, 3, 4}
 
+    @pytest.mark.parametrize("piece_count", [1, 7, 8, 300, 801])
+    def test_complete_equals_the_element_wise_build(self, piece_count):
+        built = Bitfield(piece_count, range(piece_count))
+        complete = Bitfield.complete(piece_count)
+        assert complete.held() == built.held()
+        assert complete.count() == built.count() == piece_count
+        assert complete.is_complete() and built.is_complete()
+        # Every call owns its set: emptying one leaves the next complete.
+        complete.held().clear()
+        assert Bitfield.complete(piece_count).count() == piece_count
+        for piece in (-1, piece_count):
+            with pytest.raises(IndexError):
+                complete.add(piece)
+
     def test_add_and_bounds(self):
         bitfield = Bitfield(3)
         bitfield.add(1)

@@ -410,6 +410,13 @@ def test_build_names_a_peer_missing_from_the_population(monkeypatch):
         PeerArrays.build(acceptance, ranking)
 
 
+def test_build_names_a_peer_missing_from_the_ranking():
+    acceptance = AcceptanceGraph.complete(PeerPopulation.ranked(5, slots=1))
+    ranking = GlobalRanking.from_population(PeerPopulation.ranked(4, slots=1))
+    with pytest.raises(UnknownPeerError, match="peer 5 not in ranking"):
+        PeerArrays.build(acceptance, ranking)
+
+
 def _feasible_pairs(
     arrays: PeerArrays, rng: np.random.Generator, keep: float = 1.0
 ) -> List[Tuple[int, int]]:
