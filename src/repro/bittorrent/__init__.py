@@ -7,6 +7,8 @@
 * :mod:`repro.bittorrent.tracker` -- peer discovery (the acceptance graph).
 * :mod:`repro.bittorrent.swarm` -- the round-based swarm simulator and the
   empirical stratification index.
+* :mod:`repro.bittorrent.transfers` -- one round's planned transfers as
+  columns, the batch the swarm's round protocol passes between its steps.
 * :mod:`repro.bittorrent.scenarios` -- dynamic-membership scenarios
   (Poisson arrivals, flash crowds, departure policies) driving both swarm
   engines bit-identically.

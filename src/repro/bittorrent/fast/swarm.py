@@ -22,6 +22,9 @@ as flat arrays and runs the per-round hot path on them:
   compiled C kernel (:func:`~repro.bittorrent.fast.kernel.leecher_unchoke`);
   the few seeds between runs keep the reference seed policy, and every
   sender's share comes from one vectorized budget rule;
+* the plan leaves as the arrays it was computed in, one
+  :class:`~repro.bittorrent.transfers.TransferBatch`, and the apply pass
+  hands the batch's columns to the kernel as they are;
 * the transfer loop -- wanted masks, credit, piece picks and their
   bounded draws, bitfield and availability updates -- is one call per
   round into the same kernel
@@ -89,7 +92,8 @@ from repro.bittorrent.fast.tracker import (
 )
 from repro.bittorrent.pieces import Bitfield
 from repro.bittorrent.piece_selection import make_selector
-from repro.bittorrent.swarm import SwarmPeer, SwarmResult, SwarmSimulator, Transfer
+from repro.bittorrent.swarm import SwarmPeer, SwarmResult, SwarmSimulator
+from repro.bittorrent.transfers import TransferBatch
 from repro.core.exceptions import ModelError
 
 # Not called here: the round protocol in repro.bittorrent.swarm is their
@@ -469,9 +473,7 @@ class FastSwarmSimulator(SwarmSimulator):
             )
         return interested
 
-    def _plan_round(
-        self, rng: np.random.Generator
-    ) -> Tuple[List[Transfer], Set[Tuple[int, int]]]:
+    def _plan_round(self, rng: np.random.Generator) -> TransferBatch:
         if self._adjacency_dirty:
             self._rebuild_csr()
         self._project_received()
@@ -486,7 +488,7 @@ class FastSwarmSimulator(SwarmSimulator):
         )
         active_edges = np.flatnonzero(interested)
         if active_edges.size == 0:
-            return [], set()
+            return TransferBatch.empty()
         # The owners with at least one interested edge, ascending (CSR
         # order), each with its segment of interested partner ids.
         # Never-upload owners are dropped before any draw, exactly where
@@ -498,7 +500,7 @@ class FastSwarmSimulator(SwarmSimulator):
         owners = edge_owner[lo]
         keep = self.unchokes[owners]
         if not keep.any():
-            return [], set()
+            return TransferBatch.empty()
         owners, lo, hi = owners[keep], lo[keep], hi[keep]
         # Seeds cut the owners into runs of leechers: one kernel call per
         # run and the seed policy in between consume the rounds stream in
@@ -538,15 +540,10 @@ class FastSwarmSimulator(SwarmSimulator):
         factor = self.upload_factor[rows]
         budget = np.where(factor != 1.0, budget * factor, budget)
         shares = budget / np.bincount(rows, minlength=self.n_total)[rows]
-        senders = rows + 1
-        transfers = list(zip(senders.tolist(), targets.tolist(), shares.tolist()))
-        # Inserted in plan order, as the reference inserts them: the set's
-        # iteration order becomes the order of tft_reciprocal_rounds.
-        regular_pairs = set(zip(senders[regular].tolist(), targets[regular].tolist()))
-        return transfers, regular_pairs
+        return TransferBatch(rows + 1, targets, shares, regular)
 
     def _apply_round(
-        self, transfers: List[Transfer], rng: np.random.Generator, round_index: int
+        self, transfers: TransferBatch, rng: np.random.Generator, round_index: int
     ) -> List[int]:
         """Run the round's transfers through the C kernel, then the pair tables.
 
@@ -558,13 +555,12 @@ class FastSwarmSimulator(SwarmSimulator):
         (min, max) pair, one per direction, so two scatters, the earlier
         transfer's first, add the volumes in the reference's order.
         """
-        if not transfers:
+        if not len(transfers):
             self._received = _PairTable.empty()
             return []
-        senders, receivers, volumes = zip(*transfers)
-        sender = np.array(senders, dtype=np.int64) - 1
-        receiver = np.array(receivers, dtype=np.int64) - 1
-        volume = np.array(volumes, dtype=np.float64)
+        sender = transfers.senders - 1
+        receiver = transfers.receivers - 1
+        volume = transfers.kbit
         credit_key = receiver << PAIR_SHIFT | sender
         table = self._credit
         at = _positions(table.key, credit_key)
@@ -609,7 +605,7 @@ class FastSwarmSimulator(SwarmSimulator):
 
         newly_completed: List[int] = []
         completed_round = self.completed_round
-        for pid in [transfers[t][1] for t in np.flatnonzero(completed).tolist()]:
+        for pid in transfers.receivers[completed.view(np.bool_)].tolist():
             if completed_round[pid - 1] is None:
                 completed_round[pid - 1] = round_index
                 newly_completed.append(pid)

@@ -52,11 +52,12 @@ sides), keyed by 1-based peer id; the round protocol owns one per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.bittorrent.specs import parse_tokens
+from repro.bittorrent.transfers import split_keys
 from repro.sim.faults import RoundWindow, next_retry_round
 
 __all__ = [
@@ -291,14 +292,15 @@ class FaultRuntime:
         self._pending_completions: List[int] = []
         self._pending_departs: List[int] = []
         self._rejoin_due: Dict[int, List[int]] = {}
-        self._partition_groups: Dict[int, int] = {}
+        # Each pid's partition side (index pid), -1 where none is assigned.
+        self._partition_groups = np.empty(0, dtype=np.int64)
 
     # -- round lifecycle ----------------------------------------------------------
 
     def begin_round(self, round_index: int) -> None:
         """Reset window-scoped state; call at the top of membership processing."""
-        if self._partition_groups and self.schedule.partition_event(round_index) is None:
-            self._partition_groups.clear()
+        if self._partition_groups.size and self.schedule.partition_event(round_index) is None:
+            self._partition_groups = np.empty(0, dtype=np.int64)
 
     def tracker_up(self, round_index: int, replicas: int = 1) -> bool:
         """Whether any of ``replicas`` tracker replicas is reachable.
@@ -432,43 +434,55 @@ class FaultRuntime:
         event = self.schedule.partition_event(round_index)
         if event is None:
             return
-        missing = [pid for pid in pids if pid not in self._partition_groups]
-        if not missing:
+        ids = np.asarray(pids, dtype=np.int64)
+        groups = self._partition_groups
+        if ids.size and ids.max() >= groups.size:
+            grown = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+            grown[: groups.size] = groups
+            self._partition_groups = groups = grown
+        missing = ids[groups[ids] < 0]
+        if not missing.size:
             return
-        sides = rng.integers(0, event.groups, size=len(missing))
-        for pid, side in zip(missing, sides):
-            self._partition_groups[pid] = int(side)
+        groups[missing] = rng.integers(0, event.groups, size=missing.size)
 
     # -- transfer filtering -------------------------------------------------------
 
     def dropped_pairs(
         self,
         round_index: int,
-        pairs: Sequence[Tuple[int, int]],
+        pairs: np.ndarray,
         rng: np.random.Generator,
-    ) -> Set[Tuple[int, int]]:
-        """The planned ``(sender, receiver)`` pid pairs lost this round.
+    ) -> np.ndarray:
+        """The planned pairs lost this round: the dropped entries of ``pairs``.
 
-        Partition drops are deterministic (endpoints on different sides);
-        loss draws one ``rng.random(len(pairs))`` batch whenever a loss
-        window covers the round and pairs exist -- independent of the
-        partition outcome, so stream consumption never depends on which
-        transfers the partition already killed.  ``pairs`` must be sorted.
+        ``pairs`` are the round's sorted directed ``(sender, receiver)``
+        pid pairs as packed int64 keys
+        (:func:`~repro.bittorrent.transfers.pair_keys`).  Partition drops
+        are deterministic (endpoints on different sides; a peer without a
+        side sits with the other unassigned ones).  Loss draws one
+        ``rng.random(len(pairs))`` batch whenever a loss window covers the
+        round and pairs exist -- independent of the partition outcome, so
+        stream consumption never depends on which transfers the partition
+        already killed.
         """
-        dropped: Set[Tuple[int, int]] = set()
-        if not pairs:
-            return dropped
+        if not len(pairs):
+            return pairs
+        lost = np.zeros(len(pairs), dtype=bool)
         if self.partition_active(round_index):
-            groups = self._partition_groups
-            for sender, receiver in pairs:
-                if groups.get(sender, -1) != groups.get(receiver, -1):
-                    dropped.add((sender, receiver))
+            senders, receivers = split_keys(pairs)
+            lost = self._sides(senders) != self._sides(receivers)
         rate = self.schedule.loss_rate(round_index)
         if rate > 0.0:
-            draws = rng.random(len(pairs))
-            for k in np.nonzero(draws < rate)[0]:
-                dropped.add(pairs[k])
-        return dropped
+            lost |= rng.random(len(pairs)) < rate
+        return pairs[lost]
+
+    def _sides(self, pids: np.ndarray) -> np.ndarray:
+        """Each pid's partition side, -1 where it has none."""
+        groups = self._partition_groups
+        known = pids < groups.size
+        sides = np.full(pids.size, -1, dtype=np.int64)
+        sides[known] = groups[pids[known]]
+        return sides
 
 
 # Named schedules reachable from the CLI (`--faults`) and the experiment

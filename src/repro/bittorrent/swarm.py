@@ -33,6 +33,14 @@ oracle) or ``engine="fast"`` (the packed-bit array backend in
 :mod:`repro.bittorrent.fast`).  They produce bit-identical
 :class:`SwarmResult`\\ s for the same seed; the contract is enforced by
 ``tests/test_swarm_engine_equivalence.py``.
+
+A round's plan travels through the protocol as one
+:class:`~repro.bittorrent.transfers.TransferBatch` -- sender and receiver
+pids, kilobits and a regular-slot flag, as arrays in plan order.  The
+backend's plan pass returns it; the fault filter, the reciprocal
+Tit-for-Tat count, the apply pass, the gossip and the observer read its
+columns or its packed pair keys, so no step builds a Python object per
+transfer.
 """
 
 from __future__ import annotations
@@ -86,6 +94,7 @@ from repro.bittorrent.telemetry import (
     resolve_observer,
 )
 from repro.bittorrent.tracker import Tracker
+from repro.bittorrent.transfers import TransferBatch, split_keys
 from repro.core.exceptions import ModelError, is_count, validate_engine
 from repro.sim.random_source import RandomSource
 from repro.sim import streams
@@ -284,7 +293,9 @@ class SwarmResult:
     ``collaboration_volume`` records every kilobit moved between a pair;
     ``tft_reciprocal_rounds`` counts, per pair of leechers, the rounds in
     which *both* sides granted the other a regular (Tit-for-Tat) slot --
-    the empirical analogue of a matched pair in the paper's model.
+    the empirical analogue of a matched pair in the paper's model.  Its
+    pairs come by round of first reciprocation, then by the lower pid,
+    then by that peer's slot order.
 
     Under a dynamic :class:`~repro.bittorrent.scenarios.ScenarioSchedule`,
     ``peers`` contains departed peers too (with ``departed_round`` set and
@@ -335,10 +346,6 @@ class SwarmResult:
             uploaded = max(peer.uploaded_kbit, 1e-9)
             ratios[peer.peer_id] = peer.downloaded_kbit / uploaded
         return ratios
-
-
-#: One planned transfer: ``(sender pid, receiver pid, kilobits)``.
-Transfer = Tuple[int, int, float]
 
 
 class SwarmSimulator:
@@ -719,7 +726,7 @@ class SwarmSimulator:
             self._connect(pid, sample)
             self._resilience.count_bootstrap()
 
-    def _pex_round(self, transfers: List[Transfer]) -> None:
+    def _pex_round(self, transfers: TransferBatch) -> None:
         """Gossip neighbor samples along this round's surviving transfers.
 
         Only runs while every replica is unreachable.  Each directed
@@ -730,9 +737,8 @@ class SwarmSimulator:
         sender's sorted CSR row with the receiver's slot cut out, so the
         sampler gets its size and its positions map back past the cut.
         """
-        pairs = sorted((sender, receiver) for sender, receiver, _ in transfers)
-        senders = np.array([sender for sender, _ in pairs], dtype=np.int64)
-        receivers = np.array([receiver for _, receiver in pairs], dtype=np.int64)
+        order = np.lexsort((transfers.receivers, transfers.senders))
+        senders, receivers = transfers.senders[order], transfers.receivers[order]
         indptr, adj = self._neighbor_csr()
         start = indptr[senders - 1]
         # The receiver's slot in its sender's row: one searchsorted over
@@ -748,7 +754,7 @@ class SwarmSimulator:
         sample_size = self.resilience.pex_sample
         positions = sample_pools(sizes, sample_size, self.source.stream(streams.PEX_GOSSIP))
         counts = np.minimum(sizes, sample_size)
-        pair = np.repeat(np.arange(len(pairs)), counts)
+        pair = np.repeat(np.arange(senders.size), counts)
         # Pool positions at or past the receiver's slot sit one further on in the row.
         positions += in_row[pair] & (positions >= (slot - start)[pair])
         picked = adj[start[pair] + positions].tolist()
@@ -823,25 +829,24 @@ class SwarmSimulator:
             self._announce_or_queue(pid, round_index)
 
     def _filter_faulty_transfers(
-        self, transfers: List[Transfer], round_index: int
-    ) -> List[Transfer]:
+        self, transfers: TransferBatch, round_index: int
+    ) -> TransferBatch:
         """Drop transfers lost to partitions and message loss this round.
 
         The unchoke decisions stand -- loss kills the payload, not the
-        relationship -- so ``regular_pairs`` (and with it the reciprocal
-        Tit-for-Tat statistic) comes from the *planned* round.  The loss
-        batch is drawn over the sorted pid pairs.
+        relationship -- so the reciprocal Tit-for-Tat statistic and the
+        observer read the *planned* batch.  The loss batch is drawn over
+        the sorted pair keys; the survivors keep plan order.
         """
-        if not transfers:
+        if not len(transfers):
             return transfers
+        keys = transfers.keys()
         dropped = self._faults.dropped_pairs(
-            round_index,
-            sorted((sender, receiver) for sender, receiver, _ in transfers),
-            self.source.stream(streams.FAULT_LOSS),
+            round_index, np.sort(keys), self.source.stream(streams.FAULT_LOSS)
         )
-        if not dropped:
+        if not dropped.size:
             return transfers
-        return [t for t in transfers if (t[0], t[1]) not in dropped]
+        return transfers.take(~np.isin(keys, dropped))
 
     # -- simulation ---------------------------------------------------------------
 
@@ -853,7 +858,7 @@ class SwarmSimulator:
         if observer is not None:
             observer.begin_run(_SwarmView(self))
         rng = self.source.stream(streams.ROUNDS)
-        tft_rounds: Dict[Tuple[int, int], float] = {}
+        tft_rounds: Dict[int, float] = {}
         completed = sum(
             1
             for pid in range(1, config.leechers + 1)
@@ -863,10 +868,10 @@ class SwarmSimulator:
         rounds_run = config.rounds
         for round_index in range(1, config.rounds + 1):
             self._process_membership(round_index)
-            transfers, regular_pairs = self._plan_round(rng)
+            planned = transfers = self._plan_round(rng)
             if self._faults_active:
-                transfers = self._filter_faulty_transfers(transfers, round_index)
-            self._record_reciprocal_tft(regular_pairs, tft_rounds, round_index)
+                transfers = self._filter_faulty_transfers(planned, round_index)
+            self._record_reciprocal_tft(planned, tft_rounds, round_index)
             for pid in self._apply_round(transfers, rng, round_index):
                 completed += 1
                 if self._faults_active and not self.tracker_available:
@@ -881,7 +886,7 @@ class SwarmSimulator:
             ):
                 self._pex_round(transfers)
             if observer is not None:
-                observer.observe_round(round_index, regular_pairs)
+                observer.observe_round(round_index, planned)
             # Downloading leechers only: partial seeds never complete.
             if (
                 self._incomplete_count() == 0
@@ -895,11 +900,13 @@ class SwarmSimulator:
                 break
         all_peers = dict(self._departed)
         all_peers.update(self.peers)
+        low, high = split_keys(np.fromiter(tft_rounds, dtype=np.int64, count=len(tft_rounds)))
+        tft_pairs = zip(low.tolist(), high.tolist())
         return SwarmResult(
             config=config,
             peers=dict(sorted(all_peers.items())),
             collaboration_volume=self._collaboration_volume(),
-            tft_reciprocal_rounds=tft_rounds,
+            tft_reciprocal_rounds=dict(zip(tft_pairs, tft_rounds.values())),
             completed=completed,
             rounds_run=rounds_run,
             arrivals=self._total_arrived,
@@ -911,22 +918,21 @@ class SwarmSimulator:
         )
 
     def _record_reciprocal_tft(
-        self,
-        regular_pairs: Set[Tuple[int, int]],
-        tft_rounds: Dict[Tuple[int, int], float],
-        round_index: int,
+        self, planned: TransferBatch, tft_rounds: Dict[int, float], round_index: int
     ) -> None:
         """Count pairs whose regular slots point at each other this round.
 
-        The first ``warmup_rounds`` rounds are treated as warm-up (the
-        discovery / flash-crowd phase) and not counted.
+        ``tft_rounds`` maps each pair's packed key, lower pid first, to its
+        rounds so far; a new pair goes in at its place in the planned batch
+        (:meth:`TransferBatch.reciprocal_pairs`), so the mapping is ordered
+        by round of first reciprocation, then lower pid, then that peer's
+        slot order.  The first ``warmup_rounds`` rounds are treated as
+        warm-up (the discovery / flash-crowd phase) and not counted.
         """
         if round_index <= self.config.warmup_rounds:
             return
-        for sender, target in regular_pairs:
-            if sender < target and (target, sender) in regular_pairs:
-                key = (sender, target)
-                tft_rounds[key] = tft_rounds.get(key, 0.0) + 1.0
+        for key in planned.reciprocal_pairs().tolist():
+            tft_rounds[key] = tft_rounds.get(key, 0.0) + 1.0
 
     # -- backend interface --------------------------------------------------------
     #
@@ -996,19 +1002,17 @@ class SwarmSimulator:
         """Present downloading leechers that still miss pieces."""
         raise NotImplementedError
 
-    def _plan_round(
-        self, rng: np.random.Generator
-    ) -> Tuple[List[Transfer], Set[Tuple[int, int]]]:
+    def _plan_round(self, rng: np.random.Generator) -> TransferBatch:
         """Decide unchokes and the kilobits each peer pushes to each partner.
 
-        Returns the planned transfers, owners in ascending id order, and
-        the directed (sender, target) pairs granted a *regular*
-        Tit-for-Tat slot this round.
+        Returns the planned transfers, owners in ascending id order, each
+        owner's in its decision order (regular slots first), flagging the
+        partners granted a *regular* Tit-for-Tat slot this round.
         """
         raise NotImplementedError
 
     def _apply_round(
-        self, transfers: List[Transfer], rng: np.random.Generator, round_index: int
+        self, transfers: TransferBatch, rng: np.random.Generator, round_index: int
     ) -> List[int]:
         """Turn transfers into pieces; returns the newly completed peer ids.
 
@@ -1156,12 +1160,12 @@ class ReferenceSwarmSimulator(SwarmSimulator):
     def _collaboration_volume(self) -> Dict[Tuple[int, int], float]:
         return self._collaboration
 
-    def _plan_round(
-        self, rng: np.random.Generator
-    ) -> Tuple[List[Transfer], Set[Tuple[int, int]]]:
+    def _plan_round(self, rng: np.random.Generator) -> TransferBatch:
         config = self.config
-        transfers: List[Transfer] = []
-        regular_pairs: Set[Tuple[int, int]] = set()
+        senders: List[int] = []
+        receivers: List[int] = []
+        shares: List[float] = []
+        regular: List[bool] = []
         for peer in self._peers.values():
             profile = self._profiles[peer.peer_id - 1]
             if not profile.unchokes:
@@ -1183,20 +1187,25 @@ class ReferenceSwarmSimulator(SwarmSimulator):
             unchoked = decision.all
             if not unchoked:
                 continue
-            for target in decision.regular:
-                regular_pairs.add((peer.peer_id, target))
             budget_kbit = peer.upload_kbps * config.round_seconds
             if profile.upload_factor != 1.0:
                 # The != 1.0 guard keeps the float sequence of standard
                 # peers byte-identical to the behavior-free code path.
                 budget_kbit *= profile.upload_factor
             share = budget_kbit / len(unchoked)
-            for target in unchoked:
-                transfers.append((peer.peer_id, target, share))
-        return transfers, regular_pairs
+            senders.extend([peer.peer_id] * len(unchoked))
+            receivers.extend(unchoked)
+            shares.extend([share] * len(unchoked))
+            regular.extend([True] * len(decision.regular) + [False] * len(decision.optimistic))
+        return TransferBatch(
+            np.array(senders, dtype=np.int64),
+            np.array(receivers, dtype=np.int64),
+            np.array(shares, dtype=np.float64),
+            np.array(regular, dtype=bool),
+        )
 
     def _apply_round(
-        self, transfers: List[Transfer], rng: np.random.Generator, round_index: int
+        self, transfers: TransferBatch, rng: np.random.Generator, round_index: int
     ) -> List[int]:
         collaboration = self._collaboration
         piece_size = self.config.piece_size_kbit
@@ -1206,7 +1215,9 @@ class ReferenceSwarmSimulator(SwarmSimulator):
         received_now: Dict[int, Dict[int, float]] = {pid: {} for pid in self._peers}
         newly_completed: List[int] = []
 
-        for sender_id, receiver_id, volume_kbit in transfers:
+        for sender_id, receiver_id, volume_kbit in zip(
+            transfers.senders.tolist(), transfers.receivers.tolist(), transfers.kbit.tolist()
+        ):
             sender = self._peers[sender_id]
             receiver = self._peers[receiver_id]
             wanted = receiver.bitfield.interesting_pieces(sender.bitfield)

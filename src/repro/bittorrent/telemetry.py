@@ -41,10 +41,13 @@ curves, the observed stratification index) live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.bittorrent.faults import TrackerUnavailableError
 from repro.bittorrent.tracker import ScrapeStats
+from repro.bittorrent.transfers import TransferBatch, split_keys
 from repro.sim import streams
 from repro.sim.recorder import MetricRecorder
 
@@ -329,14 +332,12 @@ class SwarmObserver:
             round_seconds=view.round_seconds,
         )
 
-    def observe_round(
-        self, round_index: int, regular_pairs: Set[Tuple[int, int]]
-    ) -> None:
+    def observe_round(self, round_index: int, planned: TransferBatch) -> None:
         """Run the scrape / poll schedule for one completed round.
 
-        ``regular_pairs`` is the engine's set of directed regular-slot
-        grants this round; polls report the reciprocated pairs the polled
-        peer is part of -- identical on both engines.
+        ``planned`` is the engine's planned transfer batch of this round;
+        polls report the reciprocated regular-slot pairs the polled peer
+        is part of -- identical on both engines.
         """
         if self.observed is None:
             raise RuntimeError("observe_round before begin_run")
@@ -356,9 +357,9 @@ class SwarmObserver:
             except TrackerUnavailableError:
                 pass
         if poll_due:
-            self._poll(round_index, regular_pairs)
+            self._poll(round_index, planned)
 
-    def _poll(self, round_index: int, regular_pairs: Set[Tuple[int, int]]) -> None:
+    def _poll(self, round_index: int, planned: TransferBatch) -> None:
         view = self._view
         try:
             known = view.known_peers()
@@ -379,20 +380,23 @@ class SwarmObserver:
             sample = sorted(known[int(i)] for i in chosen)
         else:
             sample = list(known)
-        reciprocal: Dict[int, List[int]] = {}
-        for a, b in regular_pairs:
-            if a < b and (b, a) in regular_pairs:
-                reciprocal.setdefault(a, []).append(b)
-                reciprocal.setdefault(b, []).append(a)
+        # Both ends of every reciprocated pair, sorted by (peer, partner):
+        # each polled peer's partners are one ascending segment.
+        low, high = split_keys(planned.reciprocal_pairs())
+        peers, partners = np.concatenate((low, high)), np.concatenate((high, low))
+        order = np.lexsort((partners, peers))
+        peers, partner_ids = peers[order], partners[order].tolist()
+        polled = np.asarray(sample, dtype=np.int64)
+        starts = peers.searchsorted(polled).tolist()
+        stops = peers.searchsorted(polled, side="right").tolist()
         self.observed.poll_rounds.append(round_index)
-        for pid in sample:
+        for pid, start, stop in zip(sample, starts, stops):
             progress = view.progress(pid)
             if progress is None:
                 # The peer is gone (departed, or crashed without telling
                 # the tracker): the poll times out and records nothing.
                 continue
-            partners = tuple(sorted(reciprocal.get(pid, ())))
-            self.observed.record_poll(round_index, pid, progress, partners)
+            self.observed.record_poll(round_index, pid, progress, tuple(partner_ids[start:stop]))
 
     def finish(self, rounds_run: int) -> ObservedSwarm:
         """Close the campaign; returns the collected record."""

@@ -597,7 +597,7 @@ class TestGossipPools:
         real_pex_round = simulator._pex_round
 
         def pex_round(transfers):
-            batch["pairs"] = sorted((sender, receiver) for sender, receiver, _ in transfers)
+            batch["pairs"] = sorted(zip(transfers.senders.tolist(), transfers.receivers.tolist()))
             real_pex_round(transfers)
             assert next(batch.pop("expected"), None) is None, "a sample was never connected"
             batch.clear()

@@ -81,8 +81,8 @@ def _run(engine: str, config: SwarmConfig, scenario: Optional[ScenarioSchedule])
         simulator._crash,
     )
 
-    def recorded_apply(transfers, rng, round_index):
-        completed = apply(transfers, rng, round_index)
+    def recorded_apply(batch, rng, round_index):
+        completed = apply(batch, rng, round_index)
         run.applied[round_index] = _pair_state(simulator)
         return completed
 

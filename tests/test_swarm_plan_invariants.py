@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List
 
+import numpy as np
 import pytest
 
 from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator
@@ -39,7 +40,17 @@ def _check_every_plan(simulator: SwarmSimulator) -> List[int]:
 
     def checked(rng):
         peers = simulator.peers
-        transfers, regular_pairs = plan(rng)
+        batch = plan(rng)
+        columns = (batch.senders, batch.receivers, batch.kbit, batch.regular)
+        assert len({column.shape for column in columns}) == 1
+        assert [column.dtype for column in columns] == [np.int64, np.int64, np.float64, np.bool_]
+        assert (np.diff(batch.senders) >= 0).all()
+        transfers = list(
+            zip(batch.senders.tolist(), batch.receivers.tolist(), batch.kbit.tolist())
+        )
+        regular_pairs = set(
+            zip(batch.senders[batch.regular].tolist(), batch.receivers[batch.regular].tolist())
+        )
         pairs = [(sender, receiver) for sender, receiver, _ in transfers]
         assert len(set(pairs)) == len(pairs)
         shares: Dict[int, List[float]] = {}
@@ -64,7 +75,7 @@ def _check_every_plan(simulator: SwarmSimulator) -> List[int]:
         per_sender = Counter(sender for sender, _ in regular_pairs)
         assert all(count <= config.regular_slots for count in per_sender.values())
         planned.append(len(transfers))
-        return transfers, regular_pairs
+        return batch
 
     simulator._plan_round = checked
     return planned

@@ -33,6 +33,7 @@ from repro.bittorrent.telemetry import (
     resolve_observer,
 )
 from repro.bittorrent.tracker import ScrapeStats, Tracker
+from repro.bittorrent.transfers import TransferBatch
 from repro.experiments import telemetry_experiment
 from repro.sim.random_source import RandomSource
 
@@ -42,6 +43,16 @@ from test_swarm_engine_equivalence import (
     fault_schedules,
     scenario_schedules,
 )
+
+
+def _grants(*pairs):
+    """A planned batch granting each directed pair a regular slot."""
+    senders = np.array([sender for sender, _ in pairs], dtype=np.int64)
+    receivers = np.array([receiver for _, receiver in pairs], dtype=np.int64)
+    return TransferBatch(
+        senders, receivers, np.zeros(len(pairs)), np.ones(len(pairs), dtype=bool)
+    )
+
 
 _settings = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -149,7 +160,7 @@ class TestObserverSchedule:
         observer = SwarmObserver(config)
         observer.begin_run(view)
         for round_index in range(1, rounds + 1):
-            observer.observe_round(round_index, set())
+            observer.observe_round(round_index, _grants())
         return observer.finish(rounds), view
 
     def test_scrape_and_poll_cadence(self):
@@ -199,7 +210,7 @@ class TestObserverSchedule:
         view = _FakeView([1, 2, 3], {1: 0.2, 2: 0.5, 3: 1.0})
         observer = SwarmObserver(ObserverConfig(poll_interval=1))
         observer.begin_run(view)
-        observer.observe_round(1, {(1, 2), (2, 1), (1, 3)})
+        observer.observe_round(1, _grants((1, 2), (2, 1), (1, 3)))
         observed = observer.finish(1)
         assert observed.timelines[1][0].partners == (2,)
         assert observed.timelines[2][0].partners == (1,)
@@ -209,7 +220,7 @@ class TestObserverSchedule:
         view = _FakeView([1], {1: 0.5})
         observer = SwarmObserver(ObserverConfig(poll_interval=1))
         observer.begin_run(view)
-        observer.observe_round(1, set())
+        observer.observe_round(1, _grants())
         observer.begin_run(view)
         assert observer.observed.scrapes == []
         assert observer.observed.timelines == {}
@@ -217,7 +228,7 @@ class TestObserverSchedule:
     def test_observe_before_begin_raises(self):
         observer = SwarmObserver()
         with pytest.raises(RuntimeError):
-            observer.observe_round(1, set())
+            observer.observe_round(1, _grants())
         with pytest.raises(RuntimeError):
             observer.finish(1)
 
