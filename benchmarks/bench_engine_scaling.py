@@ -34,6 +34,7 @@ if __name__ == "__main__":  # headless invocation: make src/ importable
 from repro.core.acceptance import AcceptanceGraph
 from repro.core.dynamics import ConvergenceSimulator
 from repro.core.peer import PeerPopulation
+from repro.sim import streams
 from repro.sim.random_source import RandomSource
 
 EXPECTED_DEGREE = 50.0
@@ -72,7 +73,7 @@ def run_scaling(sizes) -> List[Dict[str, object]]:
         acceptance = AcceptanceGraph.erdos_renyi(
             population,
             expected_degree=EXPECTED_DEGREE,
-            rng=RandomSource(SEED).stream("graph"),
+            rng=RandomSource(SEED).stream(streams.GRAPH),
         )
         fast = _time_engine(acceptance, "fast", SEED)
         reference = _time_engine(acceptance, "reference", SEED)

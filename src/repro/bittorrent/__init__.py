@@ -1,8 +1,8 @@
 """BitTorrent substrate and the paper's Section 6 application.
 
 * :mod:`repro.bittorrent.pieces` -- torrent content model (pieces, bitfields).
-* :mod:`repro.bittorrent.piece_selection` -- rarest-first and alternative
-  piece pickers.
+* :mod:`repro.bittorrent.piece_selection` -- the local rarest-first piece
+  picker.
 * :mod:`repro.bittorrent.choking` -- Tit-for-Tat and seed choking policies.
 * :mod:`repro.bittorrent.tracker` -- peer discovery (the acceptance graph).
 * :mod:`repro.bittorrent.swarm` -- the round-based swarm simulator and the
@@ -54,14 +54,7 @@ from repro.bittorrent.scenarios import (
     make_scenario,
     resolve_scenario,
 )
-from repro.bittorrent.piece_selection import (
-    PieceSelector,
-    RandomSelector,
-    RarestFirstSelector,
-    SequentialSelector,
-    make_selector,
-    piece_availability,
-)
+from repro.bittorrent.piece_selection import RarestFirstSelector, piece_availability
 from repro.bittorrent.strategy import (
     SlotDeviationOutcome,
     is_connectivity_feasible,
@@ -103,11 +96,7 @@ __all__ = [
     "make_scenario",
     "resolve_scenario",
     "Torrent",
-    "PieceSelector",
-    "RandomSelector",
     "RarestFirstSelector",
-    "SequentialSelector",
-    "make_selector",
     "piece_availability",
     "SlotDeviationOutcome",
     "is_connectivity_feasible",

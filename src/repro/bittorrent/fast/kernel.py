@@ -12,8 +12,8 @@ random stream in row order, so this stays a loop, just not a Python one.
 :func:`apply_transfers` runs a round's planned transfers in plan order,
 each one as the reference backend does: the complete-receiver skip and
 the wanted-mask test, upload/download accounting, the conversion of
-credit into pieces under all three piece policies, and the bitfield,
-availability and ``have_count`` updates.  Transfers within a round are
+credit into pieces rarest first, and the bitfield, availability and
+``have_count`` updates.  Transfers within a round are
 sequentially dependent -- a piece from one sender changes what the
 receiver wants from the next, and moves the availability that
 rarest-first sorts by -- so this loop stays a loop too.
@@ -84,8 +84,6 @@ typedef struct {
     double (*next_double)(void *state);
     uint64_t (*next_raw)(void *state);
 } bitgen_t;
-
-enum { RAREST_FIRST = 0, RANDOM = 1, SEQUENTIAL = 2 };
 
 /* Generator.integers(0, bound) for 1 <= bound <= 2**32: numpy's
    random_bounded_uint64 with off = 0 and rng = bound - 1. */
@@ -262,25 +260,16 @@ static int64_t pop(int64_t *pool, int64_t size, int64_t at)
 }
 
 /* Pick `picks` of the n wanted pieces (ascending) into taken, as the
-   reference selector does one pick at a time.  Within one transfer only
-   the picked pieces' availability moves, and they leave the wanted set,
-   so rarest-first works through fixed tiers of equal availability, each
-   in ascending piece order, popping at each drawn index. */
-static void choose(bitgen_t *bitgen, int policy, const int64_t *counts,
-                   int64_t *wanted, int64_t n, int64_t picks,
-                   int64_t *tier, int64_t *taken)
+   reference rarest-first selector does one pick at a time.  Within one
+   transfer only the picked pieces' availability moves, and they leave the
+   wanted set, so the picks work through fixed tiers of equal
+   availability, each in ascending piece order, popping at each drawn
+   index. */
+static void choose(bitgen_t *bitgen, const int64_t *counts, const int64_t *wanted,
+                   int64_t n, int64_t picks, int64_t *tier, int64_t *taken)
 {
     int64_t got = 0, below = -1, level, size, k;
 
-    if (policy == SEQUENTIAL) {
-        memcpy(taken, wanted, (size_t)picks * sizeof *taken);
-        return;
-    }
-    if (policy == RANDOM) {
-        for (; got < picks; got++)
-            taken[got] = pop(wanted, n - got, bounded(bitgen, n - got));
-        return;
-    }
     while (got < picks) {
         level = INT64_MAX;
         for (k = 0; k < n; k++)
@@ -297,7 +286,7 @@ static void choose(bitgen_t *bitgen, int policy, const int64_t *counts,
 }
 
 void apply_transfers(
-    bitgen_t *bitgen, int32_t policy, double piece_size, int64_t piece_count,
+    bitgen_t *bitgen, double piece_size, int64_t piece_count,
     int64_t n_bytes, uint8_t *packed, int64_t *have, int64_t *counts,
     double *uploaded, double *downloaded, const int64_t *reveal_limit,
     int64_t n, const int64_t *sender, const int64_t *receiver,
@@ -340,7 +329,7 @@ void apply_transfers(
                 picks++;
             }
             if (picks > 0) {
-                choose(bitgen, policy, counts, wanted, n_wanted, picks, tier, taken);
+                choose(bitgen, counts, wanted, n_wanted, picks, tier, taken);
                 for (k = 0; k < picks; k++) {
                     row_r[taken[k] >> 3] |= (uint8_t)(0x80 >> (taken[k] & 7));
                     counts[taken[k]]++;
@@ -354,8 +343,6 @@ void apply_transfers(
     }
 }
 """
-
-_POLICIES = {"rarest-first": 0, "random": 1, "sequential": 2}
 
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -378,7 +365,7 @@ _SIGNATURES: Dict[str, Tuple[Any, Tuple[Any, ...]]] = {
     "apply_transfers": (
         None,
         (
-            ctypes.c_void_p, ctypes.c_int32, ctypes.c_double, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
             ctypes.c_int64, _U8, _I64, _I64,
             _F64, _F64, _I64,
             ctypes.c_int64, _I64, _I64,
@@ -501,7 +488,6 @@ def leecher_unchoke(
 
 def apply_transfers(
     rng: np.random.Generator,
-    policy: str,
     piece_size: float,
     bitfields: BitfieldMatrix,
     counts: np.ndarray,
@@ -541,7 +527,6 @@ def apply_transfers(
     with rng.bit_generator.lock:
         load().apply_transfers(
             rng.bit_generator.ctypes.bit_generator,
-            _POLICIES[policy],
             piece_size,
             piece_count,
             bitfields.n_bytes,

@@ -39,7 +39,7 @@ Python neighbor sets the protocol's connect, depart, crash and gossip
 steps mutate, and the *CSR edge arrays* the vectorized passes run over
 are a frozen snapshot of it, re-frozen (``_rebuild_csr``) before the
 first plan after a change.  A freeze reads the sets in one pass and
-orders every row with one sort of row-major keys
+orders every row with one sort of packed ``(row, id)`` keys
 (:func:`~repro.bittorrent.fast.tracker.neighbor_sets_to_csr`).  Nothing
 changes the adjacency between that plan and the round's gossip, so the
 snapshot is still current when the protocol asks for every sorted
@@ -50,9 +50,11 @@ mask on departure -- ids are never reused, so a row index stays valid for
 the whole run.
 
 The per-pair state lives in arrays keyed by peer rows, not by CSR edge,
-so a re-freeze leaves it untouched.  A pair of rows packs into one int64,
-``row << PAIR_SHIFT | other``, which bounds a swarm to :data:`MAX_PEERS`
-rows (``_add_peers`` fails fast past it).  Three sorted tables hold it:
+so a re-freeze leaves it untouched.  A pair of rows packs into one int64
+key (:func:`~repro.bittorrent.transfers.pair_keys`, the one packing of
+pairs that the round protocol's pid pairs use too), which bounds a swarm
+to :data:`MAX_PEERS` peers, the most whose every pid still packs
+(``_add_peers`` fails fast past it).  Three sorted tables hold it:
 partial credit keyed by (receiver, sender), the collaboration volume
 keyed by (min, max), and last round's receipts keyed by (receiver,
 sender), rebuilt from each round's applied transfers.  Each entry keeps
@@ -91,9 +93,8 @@ from repro.bittorrent.fast.tracker import (
     neighbor_sets_to_csr,
 )
 from repro.bittorrent.pieces import Bitfield
-from repro.bittorrent.piece_selection import make_selector
 from repro.bittorrent.swarm import SwarmPeer, SwarmResult, SwarmSimulator
-from repro.bittorrent.transfers import TransferBatch
+from repro.bittorrent.transfers import PID_SHIFT, TransferBatch, find_keys, pair_keys, split_keys
 from repro.core.exceptions import ModelError
 
 # Not called here: the round protocol in repro.bittorrent.swarm is their
@@ -102,22 +103,11 @@ from repro.core.exceptions import ModelError
 from repro.bittorrent.behaviors import filter_contacts  # noqa: F401
 from repro.bittorrent.resilience import sample_pools  # noqa: F401
 
-__all__ = ["FastSwarmSimulator", "MAX_PEERS", "PAIR_SHIFT"]
+__all__ = ["FastSwarmSimulator", "MAX_PEERS"]
 
-#: Bits of a pair key's low half: rows ``a`` and ``b`` pack into
-#: ``a << PAIR_SHIFT | b``, so sorted keys are (a, b)-major.
-PAIR_SHIFT = 31
-#: Most rows a fast swarm holds: every row index fits in the low half.
-MAX_PEERS = 1 << PAIR_SHIFT
-_LOW = MAX_PEERS - 1
-
-
-def _positions(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Each query's index in the sorted ``keys``, -1 where it is absent."""
-    at = keys.searchsorted(queries)
-    hit = at < keys.size
-    hit[hit] = keys[at[hit]] == queries[hit]
-    return np.where(hit, at, -1)
+#: Most peers a fast swarm holds: every pid, as the first of a pair,
+#: packs into a non-negative int64 key.
+MAX_PEERS = (1 << (63 - PID_SHIFT)) - 1
 
 
 class _PairTable:
@@ -149,7 +139,7 @@ class _PairTable:
 
     def drop_row(self, row: int) -> None:
         """Remove every pair whose first row is ``row``."""
-        lo, hi = self.key.searchsorted([row << PAIR_SHIFT, (row + 1) << PAIR_SHIFT]).tolist()
+        lo, hi = self.key.searchsorted(pair_keys(np.array([row, row + 1]), 0)).tolist()
         self.key, self.value, self.serial = (
             np.concatenate((column[:lo], column[hi:]))
             for column in (self.key, self.value, self.serial)
@@ -161,14 +151,15 @@ class _PairTable:
         One sort by (row, serial) covers the window of the table that the
         rows span, and leaves each row's range where the key order put it.
         """
-        first = rows << PAIR_SHIFT
-        lo = self.key.searchsorted(first)
-        hi = self.key.searchsorted(first + MAX_PEERS)
+        lo = self.key.searchsorted(pair_keys(rows, 0))
+        hi = self.key.searchsorted(pair_keys(rows + 1, 0))
         begin, end = int(lo[0]), int(hi[-1])
         if begin == end:
             return [{} for _ in range(rows.size)]
-        order = begin + np.lexsort((self.serial[begin:end], self.key[begin:end] >> PAIR_SHIFT))
-        others: List[int] = ((self.key[order] & _LOW) + 1).tolist()
+        owner, _ = split_keys(self.key[begin:end])
+        order = begin + np.lexsort((self.serial[begin:end], owner))
+        _, other = split_keys(self.key[order])
+        others: List[int] = (other + 1).tolist()
         values: List[float] = self.value[order].tolist()
         return [
             dict(zip(others[start:stop], values[start:stop]))
@@ -202,7 +193,6 @@ class FastSwarmSimulator(SwarmSimulator):
 
     def _init_state(self) -> None:
         config = self.config
-        make_selector(config.piece_selection)  # validate the policy name
         kernel.load()  # compiled once per process, before any state exists
         self.n_total = 0
         self.bitfields = BitfieldMatrix(0, config.piece_count)
@@ -243,7 +233,7 @@ class FastSwarmSimulator(SwarmSimulator):
         if self.n_total + count > MAX_PEERS:
             raise ModelError(
                 f"the fast swarm engine holds at most {MAX_PEERS} peers "
-                f"(its pair keys pack two peer rows into one int64); "
+                f"(its pair keys pack two peer ids into one int64); "
                 f"{self.n_total + count} requested"
             )
         base = self.bitfields.add_peers(count)
@@ -414,10 +404,9 @@ class FastSwarmSimulator(SwarmSimulator):
     def _collaboration_volume(self) -> Dict[Tuple[int, int], float]:
         table = self._collaboration
         order = np.argsort(table.serial)
-        key = table.key[order]
-        low: List[int] = ((key >> PAIR_SHIFT) + 1).tolist()
-        high: List[int] = ((key & _LOW) + 1).tolist()
-        return dict(zip(zip(low, high), table.value[order].tolist()))
+        low, high = split_keys(table.key[order])
+        pairs = zip((low + 1).tolist(), (high + 1).tolist())
+        return dict(zip(pairs, table.value[order].tolist()))
 
     # -- edge arrays ---------------------------------------------------------------
 
@@ -431,7 +420,7 @@ class FastSwarmSimulator(SwarmSimulator):
         # Globally sorted (owner, partner) pair key: CSR segments are
         # peer-ordered and id-sorted inside, so one searchsorted resolves
         # any edge slot.
-        self.edge_key = self.edge_peer << PAIR_SHIFT | self.adj
+        self.edge_key = pair_keys(self.edge_peer, self.adj)
         # An unchoke target must be a non-seed that actually downloads
         # (partial seeds never request); frozen with the CSR since the
         # download flag only changes when membership does.
@@ -561,15 +550,14 @@ class FastSwarmSimulator(SwarmSimulator):
         sender = transfers.senders - 1
         receiver = transfers.receivers - 1
         volume = transfers.kbit
-        credit_key = receiver << PAIR_SHIFT | sender
+        credit_key = pair_keys(receiver, sender)
         table = self._credit
-        at = _positions(table.key, credit_key)
+        at = find_keys(table.key, credit_key)
         known = at >= 0
         credit = np.zeros(volume.size)
         credit[known] = table.value[at[known]]
         applied, completed = kernel.apply_transfers(
             rng,
-            self.config.piece_selection,
             self.config.piece_size_kbit,
             self.bitfields,
             self.counts,
@@ -592,10 +580,10 @@ class FastSwarmSimulator(SwarmSimulator):
 
         self._received = _PairTable(credit_key[done], 0.0 + volume[done], serial)
         sender, receiver, volume = sender[done], receiver[done], volume[done]
-        pair = np.minimum(sender, receiver) << PAIR_SHIFT | np.maximum(sender, receiver)
+        pair = pair_keys(np.minimum(sender, receiver), np.maximum(sender, receiver))
         _, first = np.unique(pair, return_index=True)
         table = self._collaboration
-        fresh = first[_positions(table.key, pair[first]) < 0]
+        fresh = first[find_keys(table.key, pair[first]) < 0]
         table.insert(pair[fresh], np.zeros(fresh.size), serial[fresh])
         at = table.key.searchsorted(pair)
         later = np.ones(pair.size, dtype=bool)
@@ -623,6 +611,6 @@ class FastSwarmSimulator(SwarmSimulator):
         """
         self.recv_edge.fill(0.0)
         received = self._received
-        at = _positions(self.edge_key, received.key)
+        at = find_keys(self.edge_key, received.key)
         hit = at >= 0
         self.recv_edge[at[hit]] = received.value[hit]

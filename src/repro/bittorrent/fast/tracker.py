@@ -31,6 +31,7 @@ from typing import Callable, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.bittorrent.tracker import ScrapeStats
+from repro.bittorrent.transfers import pair_keys, split_keys
 
 __all__ = ["FastTracker", "build_neighbor_csr"]
 
@@ -201,8 +202,8 @@ def neighbor_sets_to_csr(neighbor_sets: List[set]) -> Tuple[np.ndarray, np.ndarr
     """Freeze per-peer neighbor sets into (indptr, adj) CSR arrays.
 
     Row ``i`` holds ``neighbor_sets[i]`` (non-negative ids) ascending.
-    The sets are read in one pass, and one sort of the row-major keys
-    ``row * width + id`` orders every row at once: the rows keep their
+    The sets are read in one pass, and one sort of the packed
+    ``(row, id)`` keys orders every row at once: the rows keep their
     place and each row's ids come out ascending.
     """
     n_peers = len(neighbor_sets)
@@ -212,9 +213,7 @@ def neighbor_sets_to_csr(neighbor_sets: List[set]) -> Tuple[np.ndarray, np.ndarr
     adj = np.fromiter(
         itertools.chain.from_iterable(neighbor_sets), dtype=np.int64, count=int(indptr[-1])
     )
-    if adj.size:
-        row_base = np.repeat(np.arange(n_peers, dtype=np.int64) * (int(adj.max()) + 1), degrees)
-        adj += row_base
-        adj.sort()
-        adj -= row_base
+    keys = pair_keys(np.repeat(np.arange(n_peers, dtype=np.int64), degrees), adj)
+    keys.sort()
+    _, adj = split_keys(keys)
     return indptr, adj

@@ -231,11 +231,6 @@ class FaultSchedule:
             for e in self.events
         )
 
-    def tracker_down(self, round_index: int) -> bool:
-        """Whether replica 0 -- the sole tracker of an unreplicated swarm --
-        is inside an outage window at ``round_index``."""
-        return self.replica_down(round_index, 0)
-
     @property
     def max_targeted_replica(self) -> int:
         """Highest replica index named by an outage event (0 if none).

@@ -1,30 +1,23 @@
-"""Piece-selection policies.
+"""Local rarest-first piece selection.
 
 BitTorrent's *local rarest first* policy is what justifies the paper's
 post-flash-crowd assumption: after the initial phase, every piece has
 roughly the same replication level, so content availability stops shaping
-who exchanges with whom and only bandwidth matters.  The simulator supports
-rarest-first (default), random and sequential selection so the assumption
-itself can be exercised.
+who exchanges with whom and only bandwidth matters.  Rarest-first is the
+swarm's one piece policy: :class:`RarestFirstSelector` is the reference
+engine's oracle, and the fast engine's compiled transfer loop
+(:mod:`repro.bittorrent.fast.kernel`) reproduces its picks draw for draw.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.bittorrent.pieces import Bitfield
 
-__all__ = [
-    "PieceSelector",
-    "RarestFirstSelector",
-    "RandomSelector",
-    "SequentialSelector",
-    "make_selector",
-    "piece_availability",
-]
+__all__ = ["RarestFirstSelector", "piece_availability"]
 
 
 def piece_availability(bitfields: Iterable[Bitfield], piece_count: int) -> List[int]:
@@ -36,22 +29,7 @@ def piece_availability(bitfields: Iterable[Bitfield], piece_count: int) -> List[
     return counts
 
 
-class PieceSelector(ABC):
-    """Strategy deciding which missing piece to request from a partner."""
-
-    name = "abstract"
-
-    @abstractmethod
-    def select(
-        self,
-        wanted: Set[int],
-        availability: Sequence[int],
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        """Pick one piece from ``wanted`` (or None when empty)."""
-
-
-class RarestFirstSelector(PieceSelector):
+class RarestFirstSelector:
     """Pick the globally rarest piece among the wanted ones (ties random).
 
     The tie-break pool is built in ascending piece order.  Iterating the
@@ -60,66 +38,16 @@ class RarestFirstSelector(PieceSelector):
     across interpreters and that no other engine could reproduce.
     """
 
-    name = "rarest-first"
-
     def select(
         self,
         wanted: Set[int],
         availability: Sequence[int],
         rng: np.random.Generator,
     ) -> Optional[int]:
+        """Pick one piece from ``wanted`` (or None when empty)."""
         if not wanted:
             return None
         ordered = sorted(wanted)
         rarity = min(availability[piece] for piece in ordered)
         rarest = [piece for piece in ordered if availability[piece] == rarity]
         return int(rng.choice(rarest))
-
-
-class RandomSelector(PieceSelector):
-    """Pick a uniformly random wanted piece."""
-
-    name = "random"
-
-    def select(
-        self,
-        wanted: Set[int],
-        availability: Sequence[int],
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        if not wanted:
-            return None
-        return int(rng.choice(sorted(wanted)))
-
-
-class SequentialSelector(PieceSelector):
-    """Pick the lowest-index wanted piece (streaming-style, for ablations)."""
-
-    name = "sequential"
-
-    def select(
-        self,
-        wanted: Set[int],
-        availability: Sequence[int],
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        del availability, rng
-        if not wanted:
-            return None
-        return min(wanted)
-
-
-_SELECTORS = {
-    "rarest-first": RarestFirstSelector,
-    "random": RandomSelector,
-    "sequential": SequentialSelector,
-}
-
-
-def make_selector(name: str) -> PieceSelector:
-    """Instantiate a piece selector by name."""
-    if name not in _SELECTORS:
-        raise ValueError(
-            f"unknown piece selector '{name}'; available: {sorted(_SELECTORS)}"
-        )
-    return _SELECTORS[name]()

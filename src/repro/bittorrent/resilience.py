@@ -236,9 +236,8 @@ def sample_pools(
 
     The picks are those of a partial Fisher-Yates that pops each draw
     from the shrinking pool (``pool.pop(draw)``), and the pop bounds of
-    *all* pools concatenate into one ``rng.integers(0, bounds)`` batch --
-    the draw-batching idiom the fast engine's piece selector uses.  Empty
-    pools contribute no bounds; an all-empty call draws nothing.
+    *all* pools concatenate into one ``rng.integers(0, bounds)`` batch.
+    Empty pools contribute no bounds; an all-empty call draws nothing.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     picks = np.minimum(sizes, sample_size)

@@ -155,11 +155,6 @@ class ScenarioSchedule:
         """Whether this schedule reproduces the fixed-population behaviour."""
         return self.arrivals == "static" and self.departure == "stay"
 
-    @property
-    def effective_linger(self) -> int:
-        """Seeding rounds after completion (``"leave"`` forces 0)."""
-        return 0 if self.departure == "leave" else self.linger_rounds
-
     # -- arrival process ----------------------------------------------------------
 
     def arrivals_for_round(
@@ -214,18 +209,20 @@ class ScenarioSchedule:
 
     # -- departure policy ---------------------------------------------------------
 
-    def should_depart(self, completed_round: Optional[int], round_index: int) -> bool:
-        """Whether a leecher that completed in ``completed_round`` departs now.
+    def departure_round(self, completed_round: int) -> Optional[int]:
+        """The round at whose start a leecher that completed in ``completed_round`` departs.
 
-        Departure happens at the *start* of round
-        ``completed_round + 1 + effective_linger``: a leaver still uploads
-        for the remainder of its completion round, a lingerer seeds for
-        ``linger_rounds`` further whole rounds.  Purely deterministic -- no
-        random stream is consumed, so both engines agree trivially.
+        That is round ``completed_round + 1 + linger``, where ``"leave"``
+        means a linger of 0 and ``"stay"`` means never (``None``): a
+        leaver still uploads for the remainder of its completion round, a
+        lingerer seeds for ``linger_rounds`` further whole rounds.  Purely
+        deterministic -- no random stream is consumed, so both engines
+        agree trivially.
         """
-        if self.departure == "stay" or completed_round is None:
-            return False
-        return round_index > completed_round + self.effective_linger
+        if self.departure == "stay":
+            return None
+        linger = 0 if self.departure == "leave" else self.linger_rounds
+        return completed_round + 1 + linger
 
 
 # Named presets reachable from the CLI (`--scenario`) and the experiment

@@ -77,7 +77,7 @@ from repro.bittorrent.behaviors import (
 from repro.bittorrent.choking import SeedChoker, TitForTatChoker
 from repro.bittorrent.faults import FaultRuntime, FaultSchedule, resolve_faults
 from repro.bittorrent.pieces import Bitfield, Torrent
-from repro.bittorrent.piece_selection import PieceSelector, make_selector, piece_availability
+from repro.bittorrent.piece_selection import RarestFirstSelector, piece_availability
 from repro.bittorrent.resilience import (
     ResiliencePolicy,
     ResilienceRuntime,
@@ -94,7 +94,7 @@ from repro.bittorrent.telemetry import (
     resolve_observer,
 )
 from repro.bittorrent.tracker import Tracker
-from repro.bittorrent.transfers import TransferBatch, split_keys
+from repro.bittorrent.transfers import TransferBatch, find_keys, pair_keys, split_keys
 from repro.core.exceptions import ModelError, is_count, validate_engine
 from repro.sim.random_source import RandomSource
 from repro.sim import streams
@@ -156,8 +156,6 @@ class SwarmConfig:
     round_seconds:
         Real-time duration of one round (used to convert kbps to
         kilobits per round).
-    piece_selection:
-        Piece selection policy name.
     start_completion:
         Fraction of pieces each leecher already holds at start.  A non-zero
         value puts the swarm directly in the post flash-crowd regime that
@@ -203,7 +201,6 @@ class SwarmConfig:
     announce_size: int = 20
     rounds: int = 60
     round_seconds: float = 10.0
-    piece_selection: str = "rarest-first"
     start_completion: float = 0.3
     seed_upload_kbps: float = 5000.0
     warmup_rounds: int = 5
@@ -463,9 +460,9 @@ class SwarmSimulator:
         # Departed and crashed peers, frozen when they left; a crashed
         # peer's snapshot comes back on rejoin.
         self._departed: Dict[int, SwarmPeer] = {}
-        # Departure is deterministic at completion time (round + 1 +
-        # linger), so completions enqueue here and each round pops its
-        # bucket instead of scanning every peer.
+        # Departure is deterministic at completion time
+        # (ScenarioSchedule.departure_round), so completions enqueue here
+        # and each round pops its bucket instead of scanning every peer.
         self._depart_due: Dict[int, List[int]] = {}
         self._total_arrived = 0
         self._init_state()
@@ -668,9 +665,11 @@ class SwarmSimulator:
                 round_index, self._live_ids(), self.source.stream(streams.FAULT_PARTITION)
             )
 
-    def _schedule_departure(self, pid: int, due_round: int) -> None:
-        if self.scenario.departure != "stay":
-            self._depart_due.setdefault(due_round, []).append(pid)
+    def _schedule_departure(self, pid: int, completed_round: int, earliest: int = 0) -> None:
+        """Queue a completed leecher's departure, no sooner than round ``earliest``."""
+        due = self.scenario.departure_round(completed_round)
+        if due is not None:
+            self._depart_due.setdefault(max(earliest, due), []).append(pid)
 
     def _depart(self, pid: int, round_index: int) -> None:
         """Remove a completed leecher; freeze its statistics in the result."""
@@ -737,19 +736,15 @@ class SwarmSimulator:
         sender's sorted CSR row with the receiver's slot cut out, so the
         sampler gets its size and its positions map back past the cut.
         """
-        order = np.lexsort((transfers.receivers, transfers.senders))
-        senders, receivers = transfers.senders[order], transfers.receivers[order]
+        keys = np.sort(transfers.keys())
+        senders, receivers = split_keys(keys)
         indptr, adj = self._neighbor_csr()
         start = indptr[senders - 1]
-        # The receiver's slot in its sender's row: one searchsorted over
-        # the row-major keys (rows ascending, each row sorted; pids stay
-        # below the key width).
-        width = indptr.size
-        keys = np.repeat(np.arange(width - 1, dtype=np.int64) * width, np.diff(indptr)) + adj
-        query = (senders - 1) * width + receivers
-        slot = np.searchsorted(keys, query)
-        in_row = slot < keys.size
-        in_row[in_row] = keys[slot[in_row]] == query[in_row]
+        # The receiver's slot in its sender's row, -1 where it is not
+        # there: the CSR's (owner, neighbor) pid keys are already sorted.
+        owners = np.repeat(np.arange(1, indptr.size, dtype=np.int64), np.diff(indptr))
+        slot = find_keys(pair_keys(owners, adj), keys)
+        in_row = slot >= 0
         sizes = indptr[senders] - start - in_row
         sample_size = self.resilience.pex_sample
         positions = sample_pools(sizes, sample_size, self.source.stream(streams.PEX_GOSSIP))
@@ -779,13 +774,7 @@ class SwarmSimulator:
                 self._resilience.cancel_eviction(pid)
             self._rejoin_peer(snapshot)
             if snapshot.completed_round is not None:
-                self._schedule_departure(
-                    pid,
-                    max(
-                        round_index,
-                        snapshot.completed_round + 1 + self.scenario.effective_linger,
-                    ),
-                )
+                self._schedule_departure(pid, snapshot.completed_round, earliest=round_index)
             self._announce_or_queue(pid, round_index)
 
     def _process_crashes(self, round_index: int) -> None:
@@ -878,7 +867,7 @@ class SwarmSimulator:
                     self._faults.defer_completion(pid)
                 else:
                     self.tracker.record_completion(pid)
-                self._schedule_departure(pid, round_index + 1 + scenario.effective_linger)
+                self._schedule_departure(pid, round_index)
             if (
                 self._resilience_active
                 and self.resilience.pex
@@ -1041,8 +1030,8 @@ class SwarmSimulator:
 class ReferenceSwarmSimulator(SwarmSimulator):
     """The reference backend: one :class:`SwarmPeer` per present peer.
 
-    Dictionaries and sets, one choker object per peer and a piece
-    selector -- the direct transcription of the model, and the
+    Dictionaries and sets, one choker object per peer and the rarest-first
+    piece selector -- the direct transcription of the model, and the
     correctness oracle of the fast engine.  ``_peers`` stays in ascending
     id order, so every sweep visits peers (and consumes the rounds
     stream) in the order of the fast engine's dense rows.
@@ -1052,7 +1041,7 @@ class ReferenceSwarmSimulator(SwarmSimulator):
     tracker_type = Tracker
 
     def _init_state(self) -> None:
-        self.selector: PieceSelector = make_selector(self.config.piece_selection)
+        self.selector = RarestFirstSelector()
         self._peers: Dict[int, SwarmPeer] = {}
         self._chokers: Dict[int, TitForTatChoker | SeedChoker] = {}
         self._collaboration: Dict[Tuple[int, int], float] = {}

@@ -63,9 +63,6 @@ __all__ = [
     "resolve_observer",
 ]
 
-#: Back-compat alias; the name is declared centrally in the stream registry.
-POLL_STREAM = streams.TELEMETRY_POLL
-
 
 @dataclass(frozen=True)
 class ObserverConfig:

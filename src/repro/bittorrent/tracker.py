@@ -1,9 +1,10 @@
 """Tracker: peer discovery.
 
 The tracker hands every joining peer a random subset of the swarm.  The
-union of these announcements is precisely the paper's *acceptance graph*:
-two peers can only end up in a Tit-for-Tat exchange if at least one of them
-learnt about the other, and the resulting knowledge graph is (close to) an
+union of these announcements -- the swarm's neighbor sets, which the
+simulator keeps -- is precisely the paper's *acceptance graph*: two peers
+can only end up in a Tit-for-Tat exchange if at least one of them learnt
+about the other, and the resulting knowledge graph is (close to) an
 Erdős–Rényi graph with expected degree equal to the announce size.
 
 Besides discovery the tracker keeps the aggregate counters a real tracker
@@ -18,11 +19,9 @@ so an attached observer cannot perturb a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Iterable, List, Set
 
 import numpy as np
-
-from repro.graphs.base import UndirectedGraph
 
 __all__ = ["ScrapeStats", "Tracker"]
 
@@ -56,7 +55,6 @@ class Tracker:
 
     announce_size: int = 20
     _known: Set[int] = field(default_factory=set, repr=False)
-    _contacts: Dict[int, Set[int]] = field(default_factory=dict, repr=False)
     _complete: Set[int] = field(default_factory=set, repr=False)
     _snatches: int = field(default=0, repr=False)
 
@@ -72,8 +70,9 @@ class Tracker:
     def announce(self, peer_id: int, rng: np.random.Generator) -> List[int]:
         """Register ``peer_id`` and return a random subset of other peers.
 
-        The returned peers (and, symmetrically, the announcing peer) are
-        added to each other's contact lists.
+        The tracker keeps no record of who learnt about whom: the swarm
+        connects the announcing peer and the returned ones symmetrically,
+        and its neighbor sets are the acceptance graph.
 
         Re-announcing an already-registered peer is allowed and draws a
         fresh contact subset -- this is how a crashed peer rejoins under
@@ -84,18 +83,13 @@ class Tracker:
         """
         others = sorted(self._known - {peer_id})
         self._known.add(peer_id)
-        self._contacts.setdefault(peer_id, set())
         if not others:
             return []
         count = min(self.announce_size, len(others))
-        chosen = [int(x) for x in rng.choice(others, size=count, replace=False)]
-        for other in chosen:
-            self._contacts[peer_id].add(other)
-            self._contacts.setdefault(other, set()).add(peer_id)
-        return chosen
+        return [int(x) for x in rng.choice(others, size=count, replace=False)]
 
     def depart(self, peer_id: int) -> None:
-        """Remove a peer from the tracker (contacts keep their history).
+        """Remove a peer from the tracker.
 
         Later announces can no longer return the departed peer, which is
         how scenario departures propagate to newly arriving peers.  A
@@ -163,16 +157,3 @@ class Tracker:
         asserted by the scenario test suite.
         """
         return sorted(self._known)
-
-    def contacts(self, peer_id: int) -> Set[int]:
-        """Peers that ``peer_id`` knows about (symmetric closure of announces)."""
-        return set(self._contacts.get(peer_id, set()))
-
-    def knowledge_graph(self) -> UndirectedGraph:
-        """The acceptance graph induced by all announces so far."""
-        graph = UndirectedGraph(sorted(self._contacts))
-        for peer_id, contacts in self._contacts.items():
-            for other in contacts:
-                if peer_id < other:
-                    graph.add_edge(peer_id, other)
-        return graph

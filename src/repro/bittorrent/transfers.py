@@ -8,10 +8,13 @@ one of those steps as four arrays in plan order -- owners ascending, each
 owner's unchokes in its decision order, regular slots first -- so no step
 builds a Python object per transfer.
 
-A directed pid pair packs into one int64, ``first << PID_SHIFT | second``
-(:func:`pair_keys`).  Pids are positive and below ``2**31`` in any swarm
-that fits in memory, so packed keys are non-negative and sort like the
-``(first, second)`` tuples they stand for.
+This module is the one place that packs pairs.  A pair of non-negative
+ids -- pids, or the fast backend's dense rows -- packs into one int64,
+``first << PID_SHIFT | second`` (:func:`pair_keys`), and
+:func:`split_keys` unpacks it.  While the first id stays at most
+``2**31 - 1`` and the second below ``2**32``, packed keys are
+non-negative and sort like the ``(first, second)`` tuples they stand
+for; :func:`find_keys` looks keys up in a sorted array of them.
 """
 
 from __future__ import annotations
@@ -21,21 +24,29 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["PID_SHIFT", "TransferBatch", "pair_keys", "split_keys"]
+__all__ = ["PID_SHIFT", "TransferBatch", "find_keys", "pair_keys", "split_keys"]
 
-#: Bits of a packed pair key's low half, which holds the second pid.
+#: Bits of a packed pair key's low half, which holds the second id.
 PID_SHIFT = 32
 _LOW = (1 << PID_SHIFT) - 1
 
 
-def pair_keys(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The directed pid pairs ``(first, second)`` as packed int64 keys."""
+def pair_keys(first: np.ndarray, second: "np.ndarray | int") -> np.ndarray:
+    """The directed pairs ``(first, second)`` as packed int64 keys."""
     return first << PID_SHIFT | second
 
 
 def split_keys(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(first, second)`` pid columns of packed pair keys."""
+    """The ``(first, second)`` id columns of packed pair keys."""
     return keys >> PID_SHIFT, keys & _LOW
+
+
+def find_keys(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Each query's index in the sorted ``keys``, -1 where it is absent."""
+    at = keys.searchsorted(queries)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == queries[hit]
+    return np.where(hit, at, -1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,13 +9,8 @@ import pytest
 
 from repro.bittorrent.choking import SeedChoker, TitForTatChoker, UnchokeDecision
 from repro.bittorrent.pieces import Bitfield, Torrent
-from repro.bittorrent.piece_selection import (
-    RandomSelector,
-    RarestFirstSelector,
-    SequentialSelector,
-    make_selector,
-    piece_availability,
-)
+from repro.bittorrent.piece_selection import RarestFirstSelector, piece_availability
+from repro.bittorrent.swarm import SwarmConfig, SwarmSimulator
 from repro.bittorrent.tracker import Tracker
 
 
@@ -93,21 +88,8 @@ class TestPieceSelection:
         assert choices <= {0, 1}
         assert len(choices) == 2
 
-    def test_random_selector_stays_in_wanted(self, rng):
-        selector = RandomSelector()
-        for _ in range(10):
-            assert selector.select({2, 4}, [0] * 5, rng) in {2, 4}
-
-    def test_sequential_selector(self, rng):
-        assert SequentialSelector().select({3, 1, 2}, [0] * 4, rng) == 1
-
     def test_empty_wanted_returns_none(self, rng):
-        for name in ("rarest-first", "random", "sequential"):
-            assert make_selector(name).select(set(), [0], rng) is None
-
-    def test_make_selector_unknown(self):
-        with pytest.raises(ValueError):
-            make_selector("super-seeding")
+        assert RarestFirstSelector().select(set(), [0], rng) is None
 
 
 class TestChoking:
@@ -164,16 +146,13 @@ class TestChoking:
 
 
 class TestTracker:
-    def test_announce_returns_subset_and_links(self, rng):
+    def test_announce_returns_a_subset_of_the_registered_peers(self, rng):
         tracker = Tracker(announce_size=3)
         assert tracker.announce(1, rng) == []
         for peer in range(2, 8):
-            tracker.announce(peer, rng)
-        contacts = tracker.contacts(7)
-        assert 0 < len(contacts) <= 6
-        # Symmetry: everybody returned by the announce knows the announcer.
-        for other in contacts:
-            assert 7 in tracker.contacts(other)
+            contacts = tracker.announce(peer, rng)
+            assert 0 < len(contacts) == len(set(contacts)) <= 3
+            assert set(contacts) <= set(range(1, peer))
 
     def test_announce_size_respected(self, rng):
         tracker = Tracker(announce_size=2)
@@ -181,14 +160,19 @@ class TestTracker:
             returned = tracker.announce(peer, rng)
             assert len(returned) <= 2
 
-    def test_knowledge_graph_degree_close_to_announce_size(self, rng):
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_swarm_neighbor_degree_close_to_announce_size(self, engine):
+        """The acceptance graph a run uses is the swarm's neighbor sets."""
         announce = 8
-        tracker = Tracker(announce_size=announce)
-        n = 200
-        for peer in range(1, n + 1):
-            tracker.announce(peer, rng)
-        graph = tracker.knowledge_graph()
-        mean_degree = 2 * graph.edge_count / graph.vertex_count
+        config = SwarmConfig(
+            leechers=198, seeds=2, piece_count=10, rounds=1, announce_size=announce
+        )
+        peers = SwarmSimulator(config, seed=12345, engine=engine).peers
+        assert len(peers) == 200
+        for pid, peer in peers.items():
+            assert pid not in peer.neighbors
+            assert all(pid in peers[other].neighbors for other in peer.neighbors)
+        mean_degree = sum(len(peer.neighbors) for peer in peers.values()) / len(peers)
         # Each announce adds ~announce_size symmetric edges -> expected
         # degree around 2 * announce * (1 - o(1)); just check the right scale.
         assert announce <= mean_degree <= 3 * announce

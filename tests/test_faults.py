@@ -143,7 +143,7 @@ class TestFaultSchedule:
 
     def test_round_queries(self):
         schedule = make_faults("outage:3+2,crash:5@4~2,partition:7+2/3")
-        assert [r for r in range(1, 7) if schedule.tracker_down(r)] == [3, 4]
+        assert [r for r in range(1, 7) if schedule.replica_down(r, 0)] == [3, 4]
         assert schedule.crash_event(4).count == 5
         assert schedule.crash_event(5) is None
         assert schedule.partition_event(8).groups == 3
@@ -286,15 +286,15 @@ class TestWindowEdgeCases:
     def test_open_ended_outage_spec(self):
         """``+0`` parses as an open-ended window: the outage never lifts."""
         schedule = make_faults("outage:5+0")
-        assert not schedule.tracker_down(4)
-        assert schedule.tracker_down(5)
-        assert schedule.tracker_down(1_000_000)
+        assert not schedule.replica_down(4, 0)
+        assert schedule.replica_down(5, 0)
+        assert schedule.replica_down(1_000_000, 0)
         assert schedule.events[0].window.end is None
 
     def test_overlapping_outage_windows_union(self):
         """Unlike partitions, outage windows may overlap; coverage unions."""
         schedule = make_faults("outage:3+4,outage:5+4")
-        assert [r for r in range(1, 11) if schedule.tracker_down(r)] == [
+        assert [r for r in range(1, 11) if schedule.replica_down(r, 0)] == [
             3, 4, 5, 6, 7, 8,
         ]
 

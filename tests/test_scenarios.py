@@ -47,7 +47,7 @@ class TestScheduleValidation:
         poisson = make_scenario("poisson", arrival_rate=7.0)
         assert poisson.arrivals == "poisson" and poisson.arrival_rate == 7.0
         linger = make_scenario("seed-linger")
-        assert linger.departure == "linger" and linger.effective_linger == 5
+        assert linger.departure == "linger" and linger.departure_round(10) == 16
         with pytest.raises(ValueError):
             make_scenario("tsunami")
         assert set(SCENARIO_NAMES) == {"static", "poisson", "flashcrowd", "seed-linger"}
@@ -180,8 +180,8 @@ class TestArrivalProcess:
 
 class TestDeparturePolicy:
     def test_stay_never_departs(self):
-        schedule = ScenarioSchedule()
-        assert not schedule.should_depart(1, 100)
+        schedule = ScenarioSchedule(linger_rounds=3)
+        assert schedule.departure_round(1) is None
 
     @pytest.mark.parametrize("policy,linger,expected_round", [
         ("leave", 0, 6),
@@ -191,14 +191,46 @@ class TestDeparturePolicy:
     ])
     def test_departure_round_boundary(self, policy, linger, expected_round):
         schedule = ScenarioSchedule(departure=policy, linger_rounds=linger)
-        completed = 5
-        for round_index in range(completed, expected_round):
-            assert not schedule.should_depart(completed, round_index)
-        assert schedule.should_depart(completed, expected_round)
+        assert schedule.departure_round(5) == expected_round
 
-    def test_incomplete_peers_never_depart(self):
-        schedule = ScenarioSchedule(departure="leave")
-        assert not schedule.should_depart(None, 50)
+
+class TestDepartureRule:
+    """Both engines depart every completed leecher exactly at its departure round."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            (engine, scenario)
+            for engine in ("reference", "fast")
+            for scenario in ("poisson", "seed-linger", "flashcrowd")
+        ],
+        ids=lambda param: "-".join(param),
+    )
+    def run(self, request):
+        engine, scenario = request.param
+        config = SwarmConfig(leechers=20, seeds=2, piece_count=40, rounds=40)
+        schedule = make_scenario(scenario)
+        linger = schedule.linger_rounds if schedule.departure == "linger" else 0
+        result = SwarmSimulator(config, seed=13, scenario=schedule, engine=engine).run()
+        return linger, result
+
+    def test_departed_leechers_leave_at_their_departure_round(self, run):
+        linger, result = run
+        departed = [p for p in result.peers.values() if p.departed_round is not None]
+        assert len(departed) == result.departures > 0
+        for peer in departed:
+            assert peer.completed_round is not None
+            assert peer.departed_round == peer.completed_round + 1 + linger
+
+    def test_present_completed_leechers_are_not_due_yet(self, run):
+        linger, result = run
+        stayed = [
+            peer
+            for peer in result.present_peers()
+            if not peer.is_seed and peer.completed_round is not None
+        ]
+        for peer in stayed:
+            assert peer.completed_round + 1 + linger > result.rounds_run
 
 
 class TestReferenceChurnInvariants:

@@ -7,8 +7,8 @@ bitfield, every float of transfer accounting, every reciprocated-TFT count,
 every completion round.  The suite also pins down swarm determinism (same
 config + seed => same result, run to run) and exercises the corners the
 batched engine could plausibly get wrong: optimistic-unchoke rotation
-periods, warmup-round boundaries, zero regular slots, seedless swarms, all
-three piece-selection policies, and -- via
+periods, warmup-round boundaries, zero regular slots, seedless swarms,
+rarest-first piece selection, and -- via
 :class:`~repro.bittorrent.scenarios.ScenarioSchedule` -- dynamic membership
 (Poisson arrivals, flash crowds, leave/linger departure policies), where
 the fast engine's grow/tombstone array design has the most room to drift.
@@ -139,16 +139,12 @@ class TestEngineEquivalence:
         config = SwarmConfig(leechers=20, seeds=1, piece_count=50, rounds=25)
         run_both(config, seed=8, bandwidths=bandwidths)
 
-    @pytest.mark.parametrize(
-        "policy", ["rarest-first", "random", "sequential"]
-    )
-    def test_all_piece_selection_policies(self, policy):
+    def test_rarest_first_piece_selection(self):
         config = SwarmConfig(
             leechers=15,
             seeds=1,
             piece_count=40,
             rounds=20,
-            piece_selection=policy,
             start_completion=0.2,
         )
         run_both(config, seed=13)
@@ -245,7 +241,6 @@ class TestEngineEquivalence:
         piece_count=st.integers(min_value=8, max_value=50),
         rounds=st.integers(min_value=2, max_value=15),
         start_completion=st.sampled_from([0.0, 0.25, 0.6, 0.9]),
-        policy=st.sampled_from(["rarest-first", "random", "sequential"]),
         regular_slots=st.integers(min_value=0, max_value=4),
         optimistic_slots=st.integers(min_value=0, max_value=2),
         optimistic_period=st.integers(min_value=1, max_value=4),
@@ -259,7 +254,6 @@ class TestEngineEquivalence:
         piece_count,
         rounds,
         start_completion,
-        policy,
         regular_slots,
         optimistic_slots,
         optimistic_period,
@@ -272,7 +266,6 @@ class TestEngineEquivalence:
             piece_count=piece_count,
             rounds=rounds,
             start_completion=start_completion,
-            piece_selection=policy,
             regular_slots=regular_slots,
             optimistic_slots=optimistic_slots,
             optimistic_period=optimistic_period,
@@ -406,7 +399,6 @@ class TestScenarioEquivalence:
         piece_count=st.integers(min_value=8, max_value=40),
         rounds=st.integers(min_value=2, max_value=14),
         start_completion=st.sampled_from([0.0, 0.3, 0.7]),
-        policy=st.sampled_from(["rarest-first", "random", "sequential"]),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_scenario_equivalence_property(
@@ -417,7 +409,6 @@ class TestScenarioEquivalence:
         piece_count,
         rounds,
         start_completion,
-        policy,
         seed,
     ):
         """fast == reference bit-for-bit over the whole scenario space."""
@@ -427,7 +418,6 @@ class TestScenarioEquivalence:
             piece_count=piece_count,
             rounds=rounds,
             start_completion=start_completion,
-            piece_selection=policy,
             announce_size=5,
         )
         run_both(config, seed=seed, scenario=scenario)
@@ -540,7 +530,6 @@ class TestBehaviorEquivalence:
         piece_count=st.integers(min_value=8, max_value=40),
         rounds=st.integers(min_value=2, max_value=14),
         start_completion=st.sampled_from([0.0, 0.3, 0.7]),
-        policy=st.sampled_from(["rarest-first", "random", "sequential"]),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_behavior_equivalence_property(
@@ -552,7 +541,6 @@ class TestBehaviorEquivalence:
         piece_count,
         rounds,
         start_completion,
-        policy,
         seed,
     ):
         """fast == reference bit-for-bit over mixed behaviors x scenarios."""
@@ -562,7 +550,6 @@ class TestBehaviorEquivalence:
             piece_count=piece_count,
             rounds=rounds,
             start_completion=start_completion,
-            piece_selection=policy,
             announce_size=5,
             behaviors=mix,
         )
@@ -922,13 +909,6 @@ class TestEngineInterface:
                 SwarmSimulator(SwarmConfig(**base), seed=1, engine=engine, bandwidths=value)
             else:
                 SwarmSimulator(SwarmConfig(**{**base, field: value}), seed=1, engine=engine)
-
-    def test_invalid_selector_rejected(self):
-        config = SwarmConfig(
-            leechers=5, piece_count=10, rounds=2, piece_selection="weird"
-        )
-        with pytest.raises(ValueError):
-            SwarmSimulator(config, engine="fast")
 
     def test_fast_simulator_exposes_peers(self):
         config = SwarmConfig(leechers=6, seeds=1, piece_count=12, rounds=3)
