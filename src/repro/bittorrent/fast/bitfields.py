@@ -21,13 +21,16 @@ reused, so a row index stays valid for the whole run.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from repro.bittorrent.pieces import Bitfield
 
-__all__ = ["BitfieldMatrix"]
+__all__ = ["BitfieldMatrix", "unpack_bitfields"]
+
+#: Rows one pass of :func:`unpack_bitfields` unpacks at a time.
+_UNPACK_ROWS = 1024
 
 
 class BitfieldMatrix:
@@ -175,3 +178,29 @@ class BitfieldMatrix:
         return Bitfield.from_indices(
             self.piece_count, self.indices(self.packed[peer]).tolist()
         )
+
+
+def unpack_bitfields(packed: np.ndarray, have: np.ndarray, piece_count: int) -> List[Bitfield]:
+    """Packed rows as reference :class:`Bitfield`\\ s, ``have`` holding each row's popcount.
+
+    A complete row is :meth:`Bitfield.complete`.  The others unpack
+    together, a bounded number of rows per pass, and each takes its
+    slice of one list of held pieces.
+    """
+    complete = Bitfield.complete
+    partial_rows = np.flatnonzero(have < piece_count)
+    partial: List[Bitfield] = []
+    for lo in range(0, partial_rows.size, _UNPACK_ROWS):
+        rows = partial_rows[lo : lo + _UNPACK_ROWS]
+        _, pieces = np.unpackbits(packed[rows], axis=1, count=piece_count).nonzero()
+        held: List[int] = pieces.tolist()
+        ends: List[int] = np.cumsum(have[rows]).tolist()
+        partial.extend(
+            Bitfield.from_indices(piece_count, held[start:end])
+            for start, end in zip([0, *ends], ends)
+        )
+    bitfields = iter(partial)
+    return [
+        complete(piece_count) if full else next(bitfields)
+        for full in (have == piece_count).tolist()
+    ]

@@ -62,9 +62,16 @@ the serial number of the pair's first applied transfer, so sorting a row
 by it gives back the insertion order of the reference engine's
 dictionaries.  The receipts are projected onto the edge layout once per
 round, at the start of the plan after any re-freeze.  A crash drops the
-crashed receiver's credit and receipts; a departed receiver's entries
-are never read again.  :meth:`FastSwarmSimulator._snapshots` builds
-:class:`SwarmPeer`\\ s from all of it in one pass.
+crashed receiver's credit and receipts.
+
+A departure or a crash builds nothing: no step writes a row that has
+left, so the arrays already hold its final state.  Two things would be
+lost, and a departure puts them aside: its neighbor row, which the
+detach clears, goes end to end into one int64 buffer; and its receipts,
+which the next apply pass replaces, move out of the table then.  The
+result's ``peers`` is a :class:`ColumnarPeers` over copies of these
+columns, which builds every :class:`SwarmPeer` in one pass, rows
+ascending, when it is first read.
 
 The backend is *bit-identical* to the reference one: its plan and apply
 passes consume the rounds generator the protocol hands them draw for draw
@@ -80,19 +87,33 @@ bitfields in the apply pass.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import copy
+from array import array
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    ItemsView,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    ValuesView,
+)
 
 import numpy as np
 
 from repro.bittorrent.fast import kernel
-from repro.bittorrent.fast.bitfields import BitfieldMatrix
+from repro.bittorrent.fast.bitfields import BitfieldMatrix, unpack_bitfields
 from repro.bittorrent.fast.choking import FastChokerState, batched_regular_slots
 from repro.bittorrent.fast.tracker import (
     FastTracker,
     build_neighbor_csr,
     neighbor_sets_to_csr,
 )
-from repro.bittorrent.pieces import Bitfield
 from repro.bittorrent.swarm import SwarmPeer, SwarmResult, SwarmSimulator
 from repro.bittorrent.transfers import PID_SHIFT, TransferBatch, find_keys, pair_keys, split_keys
 from repro.core.exceptions import ModelError
@@ -103,7 +124,7 @@ from repro.core.exceptions import ModelError
 from repro.bittorrent.behaviors import filter_contacts  # noqa: F401
 from repro.bittorrent.resilience import sample_pools  # noqa: F401
 
-__all__ = ["FastSwarmSimulator", "MAX_PEERS"]
+__all__ = ["ColumnarPeers", "FastSwarmSimulator", "MAX_PEERS"]
 
 #: Most peers a fast swarm holds: every pid, as the first of a pair,
 #: packs into a non-negative int64 key.
@@ -115,7 +136,8 @@ class _PairTable:
 
     ``serial`` numbers each pair's first applied transfer, so a row's
     pairs sorted by it come in the insertion order of the dictionary the
-    reference engine keeps.
+    reference engine keeps.  Only ``value`` is ever written in place;
+    every other change gives the table new arrays.
     """
 
     def __init__(self, key: np.ndarray, value: np.ndarray, serial: np.ndarray) -> None:
@@ -128,6 +150,18 @@ class _PairTable:
         """A table without pairs."""
         no_pairs = np.empty(0, dtype=np.int64)
         return cls(no_pairs, np.empty(0, dtype=np.float64), no_pairs)
+
+    @classmethod
+    def union(cls, parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]) -> "_PairTable":
+        """One table of ``(key, value, serial)`` parts whose keys are distinct."""
+        key, value, serial = (np.concatenate(column) for column in zip(*parts))
+        return cls(key, value, serial)
+
+    def frozen(self) -> "_PairTable":
+        """A copy that later writes to this table leave as it is."""
+        table = copy.copy(self)
+        table.value = self.value.copy()
+        return table
 
     def insert(self, keys: np.ndarray, values: np.ndarray, serials: np.ndarray) -> None:
         """Add distinct keys that are not in the table yet."""
@@ -148,9 +182,20 @@ class _PairTable:
     def dicts(self, rows: np.ndarray) -> List[Dict[int, float]]:
         """Each of the ascending ``rows``' pairs as ``{other pid: value}``, in serial order.
 
-        One sort by (row, serial) covers the window of the table that the
-        rows span, and leaves each row's range where the key order put it.
+        One sort by (row, serial) covers the window of the table from the
+        first row to the last, and leaves each row's range where the key
+        order put it.  Rows out of order would cut that window short and
+        give wrong dicts, so they raise :class:`ValueError`.
         """
+        if not rows.size:
+            return []
+        descending = np.flatnonzero(rows[1:] < rows[:-1])
+        if descending.size:
+            at = int(descending[0]) + 1
+            raise ValueError(
+                f"pair-table rows must ascend: row {int(rows[at])} at position {at} "
+                f"follows row {int(rows[at - 1])}"
+            )
         lo = self.key.searchsorted(pair_keys(rows, 0))
         hi = self.key.searchsorted(pair_keys(rows + 1, 0))
         begin, end = int(lo[0]), int(hi[-1])
@@ -165,6 +210,126 @@ class _PairTable:
             dict(zip(others[start:stop], values[start:stop]))
             for start, stop in zip((lo - begin).tolist(), (hi - begin).tolist())
         ]
+
+
+@dataclass(frozen=True, eq=False)
+class _PeerColumns:
+    """Every row's state as the :class:`SwarmPeer`\\ s are built from it.
+
+    Arrays and lists indexed by row, no simulator.  Row ``i``'s neighbor
+    pids are entries ``neighbor_start[i]:neighbor_stop[i]`` of
+    ``neighbor_pids`` followed by ``departed_pids``; the pair tables hold
+    credit and receipts keyed by (receiver row, sender row).
+    """
+
+    piece_count: int
+    upload: np.ndarray
+    is_seed: np.ndarray
+    downloaded: np.ndarray
+    uploaded: np.ndarray
+    packed: np.ndarray
+    have: np.ndarray
+    completed_round: List[Optional[int]]
+    arrival_round: List[int]
+    departed_round: List[Optional[int]]
+    behavior: List[str]
+    group: List[int]
+    neighbor_start: np.ndarray
+    neighbor_stop: np.ndarray
+    neighbor_pids: np.ndarray
+    departed_pids: np.ndarray
+    credit: _PairTable
+    received: _PairTable
+
+    @property
+    def size(self) -> int:
+        """How many rows there are."""
+        return self.have.size
+
+    def build(self, rows: np.ndarray) -> Dict[int, SwarmPeer]:
+        """The :class:`SwarmPeer`\\ s of the ascending ``rows``, keyed by pid, in one pass."""
+        pids: List[int] = self.neighbor_pids.tolist()
+        pids += self.departed_pids.tolist()
+        neighbors = [
+            set(pids[lo:hi])
+            for lo, hi in zip(self.neighbor_start[rows].tolist(), self.neighbor_stop[rows].tolist())
+        ]
+        del pids  # the sets hold its ints; the list itself would only add to the peak
+        completed_round, arrival_round = self.completed_round, self.arrival_round
+        departed_round, behavior, group = self.departed_round, self.behavior, self.group
+        return {
+            i + 1: SwarmPeer(
+                peer_id=i + 1,
+                upload_kbps=upload,
+                is_seed=seed,
+                bitfield=bitfield,
+                neighbors=linked,
+                downloaded_kbit=down,
+                uploaded_kbit=up,
+                partial_kbit=credit,
+                received_last_round=received,
+                completed_round=completed_round[i],
+                arrival_round=arrival_round[i],
+                departed_round=departed_round[i],
+                behavior=behavior[i],
+                locality_group=group[i],
+            )
+            for i, upload, seed, bitfield, linked, down, up, credit, received in zip(
+                rows.tolist(),
+                self.upload[rows].tolist(),
+                self.is_seed[rows].tolist(),
+                unpack_bitfields(self.packed[rows], self.have[rows], self.piece_count),
+                neighbors,
+                self.downloaded[rows].tolist(),
+                self.uploaded[rows].tolist(),
+                self.credit.dicts(rows),
+                self.received.dicts(rows),
+            )
+        }
+
+
+class ColumnarPeers(Mapping[int, SwarmPeer]):
+    """A fast run's ``SwarmResult.peers``: a read-only mapping over columns.
+
+    Its keys are the pids ``1..n`` of every row, ascending.  The first
+    read of a value builds every :class:`SwarmPeer` in one pass and lets
+    the columns go; ``len``, iteration, ``keys`` and ``in`` read only the
+    keys.  It holds arrays and lists, not the simulator, so a result
+    pickles.
+    """
+
+    def __init__(self, columns: _PeerColumns) -> None:
+        self._pids = range(1, columns.size + 1)
+        self._columns: Optional[_PeerColumns] = columns
+        self._peers: Optional[Dict[int, SwarmPeer]] = None
+
+    def _built(self) -> Dict[int, SwarmPeer]:
+        if self._peers is None:
+            assert self._columns is not None
+            self._peers = self._columns.build(np.arange(len(self._pids)))
+            self._columns = None
+        return self._peers
+
+    def __getitem__(self, pid: int) -> SwarmPeer:
+        return self._built()[pid]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._pids)
+
+    def __len__(self) -> int:
+        return len(self._pids)
+
+    def __contains__(self, pid: object) -> bool:
+        return pid in self._pids
+
+    def values(self) -> ValuesView[SwarmPeer]:
+        return self._built().values()
+
+    def items(self) -> ItemsView[int, SwarmPeer]:
+        return self._built().items()
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} peers>"
 
 
 class FastSwarmSimulator(SwarmSimulator):
@@ -225,6 +390,14 @@ class FastSwarmSimulator(SwarmSimulator):
         self._collaboration = _PairTable.empty()
         self._received = _PairTable.empty()
         self._applied_transfers = 0  # the serial of the next applied transfer
+        # What the result needs of departed rows that _detach and the next
+        # apply pass clear: the rows in departure order, their neighbor
+        # rows end to end (the k-th ends at _gone_ends[k]), and their
+        # receipts, one (key, value, serial) part per apply pass.
+        self._gone_rows: List[int] = []
+        self._gone_ends: List[int] = []
+        self._gone_neighbors = array("q")
+        self._gone_receipts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def _add_peers(
         self, uploads: List[float], pieces: List[Optional[np.ndarray]], arrival_round: int
@@ -315,26 +488,30 @@ class FastSwarmSimulator(SwarmSimulator):
         self.chokers.drop(i)
         self._adjacency_dirty = True
 
-    def _depart_peer(self, pid: int) -> SwarmPeer:
-        (snapshot,) = self._snapshots([pid])
+    def _depart_peer(self, pid: int) -> None:
+        # Every other column of a departed row stays as it is: no step
+        # writes the row again.
+        i = pid - 1
+        self._gone_rows.append(i)
+        self._gone_neighbors.extend(self.neighbor_sets[i])
+        self._gone_ends.append(len(self._gone_neighbors))
         self._detach(pid)
-        return snapshot
 
-    def _crash_peer(self, pid: int) -> SwarmPeer:
-        # The crashed receiver loses its credit and receipts; the
-        # snapshot is taken after the scrub, so it matches the reference
-        # backend's crashed peer field for field.
+    def _crash_peer(self, pid: int) -> None:
+        # The crashed receiver loses its credit and receipts, as the
+        # reference backend's crashed peer does.
         self._detach(pid)
         self._credit.drop_row(pid - 1)
         self._received.drop_row(pid - 1)
-        (snapshot,) = self._snapshots([pid])
-        return snapshot
 
-    def _rejoin_peer(self, snapshot: SwarmPeer) -> None:
-        i = snapshot.peer_id - 1
+    def _rejoin_peer(self, pid: int) -> None:
+        i = pid - 1
         self.alive[i] = True
         self.counts += self.bitfields.unpack_row(i)
         self._adjacency_dirty = True
+
+    def _completed_round(self, pid: int) -> Optional[int]:
+        return self.completed_round[pid - 1]
 
     def _live_ids(self) -> List[int]:
         ids: List[int] = (np.flatnonzero(self.alive) + 1).tolist()
@@ -357,49 +534,51 @@ class FastSwarmSimulator(SwarmSimulator):
         have = self.bitfields.have_count[: self.n_total]
         return int((have[live] < self.config.piece_count).sum())
 
-    def _snapshots(self, pids: Sequence[int]) -> List[SwarmPeer]:
-        """The peers ``pids`` (ascending) as :class:`SwarmPeer`\\ s, in one pass.
+    def _peer_columns(self) -> _PeerColumns:
+        """Every row's columns, copied where a later round would write in place.
 
-        One sort of each pair table's window feeds plain list slices per
-        peer.  Bitfields go row by row: a complete row is
-        :meth:`Bitfield.complete`, and only the rest unpack their bits.
+        The frozen CSR's pids are shared, as a re-freeze replaces them.  A
+        departed row's neighbors are those :meth:`_depart_peer` put aside,
+        and its receipts those of its last round; a crashed row has
+        neither.
         """
-        if not pids:
-            return []
-        rows = np.asarray(pids, dtype=np.int64) - 1
-        piece_count = self.config.piece_count
-        complete = (self.bitfields.have_count[rows] == piece_count).tolist()
-        neighbor_sets, profiles, groups = self.neighbor_sets, self._profiles, self._groups
-        completed_round, arrival_round = self.completed_round, self.arrival_round
-        return [
-            SwarmPeer(
-                peer_id=i + 1,
-                upload_kbps=upload,
-                is_seed=seed,
-                bitfield=(
-                    Bitfield.complete(piece_count) if full else self.bitfields.to_bitfield(i)
-                ),
-                neighbors={j + 1 for j in neighbor_sets[i]},
-                downloaded_kbit=down,
-                uploaded_kbit=up,
-                partial_kbit=credit,
-                received_last_round=received,
-                completed_round=completed_round[i],
-                arrival_round=arrival_round[i],
-                behavior=profiles[i].name,
-                locality_group=groups[i],
-            )
-            for i, upload, seed, full, down, up, credit, received in zip(
-                rows.tolist(),
-                self.uploads[rows].tolist(),
-                self.is_seed[rows].tolist(),
-                complete,
-                self.downloaded[rows].tolist(),
-                self.uploaded[rows].tolist(),
-                self._credit.dicts(rows),
-                self._received.dicts(rows),
-            )
-        ]
+        n, received = self.n_total, self._received
+        indptr, adj = self._neighbor_csr()
+        start, stop = indptr[:-1].copy(), indptr[1:].copy()
+        gone = np.array(self._gone_rows, dtype=np.int64)
+        ends = adj.size + np.array([0, *self._gone_ends], dtype=np.int64)
+        start[gone], stop[gone] = ends[:-1], ends[1:]
+        departed_round: List[Optional[int]] = [None] * n
+        for pid, left in self._departed.items():
+            departed_round[pid - 1] = left
+        return _PeerColumns(
+            piece_count=self.config.piece_count,
+            upload=self.uploads,
+            is_seed=self.is_seed,
+            downloaded=self.downloaded.copy(),
+            uploaded=self.uploaded.copy(),
+            packed=self.bitfields.packed[:n].copy(),
+            have=self.bitfields.have_count[:n].copy(),
+            completed_round=list(self.completed_round),
+            arrival_round=self.arrival_round,
+            departed_round=departed_round,
+            behavior=[profile.name for profile in self._profiles],
+            group=self._groups,
+            neighbor_start=start,
+            neighbor_stop=stop,
+            neighbor_pids=adj,
+            departed_pids=np.frombuffer(self._gone_neighbors, dtype=np.int64) + 1,
+            credit=self._credit.frozen(),
+            received=_PairTable.union(
+                [*self._gone_receipts, (received.key, received.value, received.serial)]
+            ),
+        )
+
+    def _present_peers(self) -> Dict[int, SwarmPeer]:
+        return self._peer_columns().build(np.flatnonzero(self.alive))
+
+    def _all_peers(self) -> ColumnarPeers:
+        return ColumnarPeers(self._peer_columns())
 
     def _collaboration_volume(self) -> Dict[Tuple[int, int], float]:
         table = self._collaboration
@@ -544,6 +723,7 @@ class FastSwarmSimulator(SwarmSimulator):
         (min, max) pair, one per direction, so two scatters, the earlier
         transfer's first, add the volumes in the reference's order.
         """
+        self._keep_departed_receipts()
         if not len(transfers):
             self._received = _PairTable.empty()
             return []
@@ -598,6 +778,20 @@ class FastSwarmSimulator(SwarmSimulator):
                 completed_round[pid - 1] = round_index
                 newly_completed.append(pid)
         return newly_completed
+
+    def _keep_departed_receipts(self) -> None:
+        """Put aside the receipts of rows that left since the last apply pass.
+
+        This pass replaces the table they are in.  A row that is not
+        present and still has receipts departed: a crash drops its own.
+        """
+        received = self._received
+        owner, _ = split_keys(received.key)
+        left = ~self.alive[owner]
+        if left.any():
+            self._gone_receipts.append(
+                (received.key[left], received.value[left], received.serial[left])
+            )
 
     def _project_received(self) -> None:
         """Scatter last round's receipts onto the current edge array.

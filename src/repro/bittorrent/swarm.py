@@ -246,8 +246,11 @@ class SwarmPeer:
 
     ``arrival_round`` is 0 for the initial population and the join round
     for scenario arrivals; ``departed_round`` is set when a scenario
-    departure policy removes the peer from the swarm (its statistics are
-    frozen at that point but still reported in the result).
+    departure policy removes the peer from the swarm, or when it crashes
+    and has not rejoined by the end of the run (its statistics are frozen
+    at that point but still reported in the result).  A crashed peer keeps
+    its bitfield and transfer totals, but no neighbors, credit or
+    receipts.
 
     ``behavior`` names the peer's assigned
     :class:`~repro.bittorrent.behaviors.BehaviorProfile` and
@@ -294,10 +297,18 @@ class SwarmResult:
     pairs come by round of first reciprocation, then by the lower pid,
     then by that peer's slot order.
 
+    ``peers`` is a read-only mapping from pid to :class:`SwarmPeer`,
+    ascending by pid.  The reference engine returns a plain dict of the
+    peers it ran on.  The fast engine returns a mapping over copies of its
+    arrays that builds every :class:`SwarmPeer` in one pass when a value
+    is first read; its length, keys and ``in`` need no build.  Neither
+    holds the simulator, so a result pickles on either engine.
+
     Under a dynamic :class:`~repro.bittorrent.scenarios.ScenarioSchedule`,
     ``peers`` contains departed peers too (with ``departed_round`` set and
-    their statistics frozen at departure); ``arrivals`` / ``departures``
-    count the membership events over the whole run.
+    their statistics frozen at departure); ``arrivals`` counts the joins
+    over the whole run, and ``departures`` the peers absent at its end:
+    departed ones, and crashed ones that have not rejoined.
 
     ``observed`` carries the measurement campaign of an attached
     :class:`~repro.bittorrent.telemetry.SwarmObserver` (``None`` when the
@@ -311,7 +322,7 @@ class SwarmResult:
     """
 
     config: SwarmConfig
-    peers: Dict[int, SwarmPeer]
+    peers: Mapping[int, SwarmPeer]
     collaboration_volume: Dict[Tuple[int, int], float]
     tft_reciprocal_rounds: Dict[Tuple[int, int], float]
     completed: int
@@ -457,9 +468,9 @@ class SwarmSimulator:
         # Per-peer facts the protocol draws itself, indexed by pid - 1.
         self._profiles: List[BehaviorProfile] = []
         self._groups: List[int] = []
-        # Departed and crashed peers, frozen when they left; a crashed
-        # peer's snapshot comes back on rejoin.
-        self._departed: Dict[int, SwarmPeer] = {}
+        # The round each departed or crashed peer left in; a rejoin
+        # removes a crashed peer's entry.  The backend keeps their state.
+        self._departed: Dict[int, int] = {}
         # Departure is deterministic at completion time
         # (ScenarioSchedule.departure_round), so completions enqueue here
         # and each round pops its bucket instead of scanning every peer.
@@ -474,10 +485,9 @@ class SwarmSimulator:
 
         Departed and crashed peers are left out; ``SwarmResult.peers``
         carries them.  The reference engine returns its live peer objects,
-        the fast engine a fresh snapshot of its arrays.
+        the fast engine peers built from its arrays now.
         """
-        live = self._live_ids()
-        return dict(zip(live, self._snapshots(live)))
+        return self._present_peers()
 
     # -- construction ------------------------------------------------------------
 
@@ -673,9 +683,8 @@ class SwarmSimulator:
 
     def _depart(self, pid: int, round_index: int) -> None:
         """Remove a completed leecher; freeze its statistics in the result."""
-        snapshot = self._depart_peer(pid)
-        snapshot.departed_round = round_index
-        self._departed[pid] = snapshot
+        self._depart_peer(pid)
+        self._departed[pid] = round_index
         if self._faults_active and not self.tracker_available:
             # The stopped event cannot reach the tracker mid-outage; it
             # is delivered on recovery.
@@ -769,12 +778,14 @@ class SwarmSimulator:
         the departure queue.
         """
         for pid in self._faults.rejoins_due(round_index):
-            snapshot = self._departed.pop(pid)
+            del self._departed[pid]
             if self._resilience_active:
                 self._resilience.cancel_eviction(pid)
-            self._rejoin_peer(snapshot)
-            if snapshot.completed_round is not None:
-                self._schedule_departure(pid, snapshot.completed_round, earliest=round_index)
+            self._rejoin_peer(pid)
+            completed_round = self._completed_round(pid)
+            if completed_round is not None:
+                # Its due round may have passed while it was gone.
+                self._schedule_departure(pid, completed_round, earliest=round_index)
             self._announce_or_queue(pid, round_index)
 
     def _process_crashes(self, round_index: int) -> None:
@@ -798,9 +809,8 @@ class SwarmSimulator:
             # The keepalive clock starts now; only a peer somebody was
             # connected to is detectable (captured before the scrub).
             self._resilience.note_crash(pid, round_index, self._has_neighbors(pid))
-        snapshot = self._crash_peer(pid)
-        snapshot.departed_round = round_index
-        self._departed[pid] = snapshot
+        self._crash_peer(pid)
+        self._departed[pid] = round_index
         self._faults.clear_announce(pid)
 
     def _process_pending_announces(self, round_index: int) -> None:
@@ -887,13 +897,11 @@ class SwarmSimulator:
             ):
                 rounds_run = round_index
                 break
-        all_peers = dict(self._departed)
-        all_peers.update(self.peers)
         low, high = split_keys(np.fromiter(tft_rounds, dtype=np.int64, count=len(tft_rounds)))
         tft_pairs = zip(low.tolist(), high.tolist())
         return SwarmResult(
             config=config,
-            peers=dict(sorted(all_peers.items())),
+            peers=self._all_peers(),
             collaboration_volume=self._collaboration_volume(),
             tft_reciprocal_rounds=dict(zip(tft_pairs, tft_rounds.values())),
             completed=completed,
@@ -953,16 +961,20 @@ class SwarmSimulator:
         """Add symmetric edges to the present contacts; returns how many were new."""
         raise NotImplementedError
 
-    def _depart_peer(self, pid: int) -> SwarmPeer:
-        """Unlink a departing peer; its snapshot keeps neighbors and credit."""
+    def _depart_peer(self, pid: int) -> None:
+        """Unlink a departing peer; the result keeps its neighbors, credit and receipts."""
         raise NotImplementedError
 
-    def _crash_peer(self, pid: int) -> SwarmPeer:
-        """Unlink a crashed peer; its snapshot keeps only bitfield and statistics."""
+    def _crash_peer(self, pid: int) -> None:
+        """Unlink a crashed peer and drop its credit and receipts; it keeps its bitfield."""
         raise NotImplementedError
 
-    def _rejoin_peer(self, snapshot: SwarmPeer) -> None:
+    def _rejoin_peer(self, pid: int) -> None:
         """Bring a crashed peer back, unconnected, with a fresh choker."""
+        raise NotImplementedError
+
+    def _completed_round(self, pid: int) -> Optional[int]:
+        """The round a present peer completed in, ``None`` while it is incomplete."""
         raise NotImplementedError
 
     def _live_ids(self) -> List[int]:
@@ -1010,11 +1022,15 @@ class SwarmSimulator:
         """
         raise NotImplementedError
 
-    def _snapshots(self, pids: Sequence[int]) -> List[SwarmPeer]:
-        """The present peers ``pids`` (ascending) as :class:`SwarmPeer`\\ s.
+    def _present_peers(self) -> Dict[int, SwarmPeer]:
+        """The present peers, ascending by id, as they are now."""
+        raise NotImplementedError
 
-        ``peers``, and with it the result, reads all peer state through
-        this one hook, so a backend can build every snapshot in one pass.
+    def _all_peers(self) -> Mapping[int, SwarmPeer]:
+        """Every peer of the run, ascending by id: ``SwarmResult.peers``.
+
+        Called once, when the run ends.  A departed or crashed peer
+        carries its round from ``_departed`` as its ``departed_round``.
         """
         raise NotImplementedError
 
@@ -1034,7 +1050,9 @@ class ReferenceSwarmSimulator(SwarmSimulator):
     piece selector -- the direct transcription of the model, and the
     correctness oracle of the fast engine.  ``_peers`` stays in ascending
     id order, so every sweep visits peers (and consumes the rounds
-    stream) in the order of the fast engine's dense rows.
+    stream) in the order of the fast engine's dense rows.  A departed or
+    crashed peer's object moves to ``_gone``, and the result is both
+    dicts merged.
     """
 
     engine = "reference"
@@ -1043,6 +1061,7 @@ class ReferenceSwarmSimulator(SwarmSimulator):
     def _init_state(self) -> None:
         self.selector = RarestFirstSelector()
         self._peers: Dict[int, SwarmPeer] = {}
+        self._gone: Dict[int, SwarmPeer] = {}
         self._chokers: Dict[int, TitForTatChoker | SeedChoker] = {}
         self._collaboration: Dict[Tuple[int, int], float] = {}
 
@@ -1091,25 +1110,26 @@ class ReferenceSwarmSimulator(SwarmSimulator):
             added += 1
         return added
 
-    def _depart_peer(self, pid: int) -> SwarmPeer:
-        peer = self._peers.pop(pid)
+    def _depart_peer(self, pid: int) -> None:
+        peer = self._gone[pid] = self._peers.pop(pid)
         for other in peer.neighbors:
             self._peers[other].neighbors.discard(pid)
         del self._chokers[pid]
-        return peer
 
-    def _crash_peer(self, pid: int) -> SwarmPeer:
-        peer = self._depart_peer(pid)
+    def _crash_peer(self, pid: int) -> None:
+        self._depart_peer(pid)
+        peer = self._gone[pid]
         peer.neighbors = set()
         peer.partial_kbit = {}
         peer.received_last_round = {}
-        return peer
 
-    def _rejoin_peer(self, snapshot: SwarmPeer) -> None:
-        snapshot.departed_round = None
-        self._peers[snapshot.peer_id] = snapshot
+    def _rejoin_peer(self, pid: int) -> None:
+        self._peers[pid] = self._gone.pop(pid)
         self._peers = dict(sorted(self._peers.items()))
-        self._chokers[snapshot.peer_id] = self._leecher_choker()
+        self._chokers[pid] = self._leecher_choker()
+
+    def _completed_round(self, pid: int) -> Optional[int]:
+        return self._peers[pid].completed_round
 
     def _live_ids(self) -> List[int]:
         return list(self._peers)
@@ -1142,9 +1162,13 @@ class ReferenceSwarmSimulator(SwarmSimulator):
             and not peer.bitfield.is_complete()
         )
 
-    def _snapshots(self, pids: Sequence[int]) -> List[SwarmPeer]:
-        peers = self._peers
-        return [peers[pid] for pid in pids]
+    def _present_peers(self) -> Dict[int, SwarmPeer]:
+        return dict(self._peers)
+
+    def _all_peers(self) -> Dict[int, SwarmPeer]:
+        for pid, peer in self._gone.items():
+            peer.departed_round = self._departed[pid]
+        return dict(sorted({**self._peers, **self._gone}.items()))
 
     def _collaboration_volume(self) -> Dict[Tuple[int, int], float]:
         return self._collaboration

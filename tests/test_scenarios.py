@@ -232,6 +232,44 @@ class TestDepartureRule:
         for peer in stayed:
             assert peer.completed_round + 1 + linger > result.rounds_run
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_a_rejoin_after_the_departure_round_departs_at_once(self, engine):
+        # Completed peers crash at round 6 while they linger and rejoin at
+        # round 10, after their departure round (7 or 8) was popped: the
+        # rejoin queues them for round 10 itself, or they would never leave.
+        config = SwarmConfig(
+            leechers=30, seeds=2, piece_count=40, rounds=30, start_completion=0.3,
+            faults="crash:10@6~4",
+        )
+        simulator = SwarmSimulator(config, seed=5, engine=engine, scenario="seed-linger")
+        crashed, rejoined = {}, {}
+        crash, rejoins_due = simulator._crash, simulator._faults.rejoins_due
+
+        def recorded_crash(pid, round_index):
+            crashed[pid] = round_index
+            crash(pid, round_index)
+
+        def recorded_rejoins(round_index):
+            due = rejoins_due(round_index)
+            rejoined.update((pid, round_index) for pid in due)
+            return due
+
+        simulator._crash = recorded_crash
+        simulator._faults.rejoins_due = recorded_rejoins
+        result = simulator.run()
+        schedule = simulator.scenario
+        late = {}
+        for pid, round_index in crashed.items():
+            completed = result.peers[pid].completed_round
+            due = None if completed is None else schedule.departure_round(completed)
+            if due is not None and round_index < due < rejoined[pid]:
+                late[pid] = due
+        assert sorted(late) == [1, 7, 8, 12, 15, 16, 22, 27]
+        assert set(late.values()) == {7, 8}
+        for pid in late:
+            assert crashed[pid] == 6 and rejoined[pid] == 10
+            assert result.peers[pid].departed_round == 10
+
 
 class TestReferenceChurnInvariants:
     """Membership bookkeeping under a live scenario, on both engines."""
